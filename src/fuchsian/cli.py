@@ -3,17 +3,19 @@
 Subcommands: uniformize, genus-range, tessellation, ode (build | classify),
 verify.  Output goes to stdout as canonical JSON, an aligned text table, or
 a static SVG figure.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+2 usage error, 141 (128 + SIGPIPE) when the reader of stdout goes away.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from fractions import Fraction
 
 from . import curves, embed, fode, hyperbolic
-from .moebius import TransformClass, is_infinity
+from .moebius import IndexOutOfRange, TransformClass, is_infinity
 from .uniformize import GenusTooSmall, fixed_point_radius, uniformize
 from .report import (
     DEFAULT_PRECISION,
@@ -130,7 +132,7 @@ def run(argv=None) -> int:
         return _cmd_verify(args)
     except (curves.DegreeTooSmall, embed.BadDimensions, fode.UnsupportedDegree,
             fode.UnknownName, fode.BadParamCount, GenusTooSmall,
-            ValueError) as exc:
+            IndexOutOfRange, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -141,9 +143,25 @@ def _fmt_complex(z: complex, precision: int) -> str:
     return f"{re:.{precision}g}{im:+.{precision}g}i"
 
 
+def _uniformizable_curve(degree: int, sign: int = -1) -> curves.CurveSpec:
+    """The curve of this degree, refused unless alpha = (g-1)/n < 1/3.
+
+    2 cos(pi alpha) - 1 > 0 exactly when 3(g-1) < n.  At alpha = 1/3
+    (degrees 9 and 12) the float in `mursi_parameters` rounds to 1.1e-16
+    and passes its guard, so the domain is decided here in exact arithmetic.
+    """
+    curve = curves.curve_from_degree(degree, sign)
+    alpha = Fraction(curve.genus - 1, curve.degree)
+    if curve.genus >= 2 and alpha >= Fraction(1, 3):
+        raise ValueError(
+            f"alpha = {alpha} is not below 1/3, so 2 cos(pi alpha) - 1 <= 0; "
+            "the side transformations would not be real")
+    return curve
+
+
 def _cmd_uniformize(args) -> int:
     sign = -1 if args.sign == "minus" else 1
-    curve = curves.curve_from_degree(args.degree, sign)
+    curve = _uniformizable_curve(args.degree, sign)
     result = uniformize(curve, normalize_output=args.normalize,
                              base=args.base, duplicate_tol=args.tolerance)
     topology = hyperbolic.tessellation_topology(result.tessellation)
@@ -301,7 +319,7 @@ def _cmd_ode(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    curve = curves.curve_from_degree(args.degree)
+    curve = _uniformizable_curve(args.degree)
     result = uniformize(curve)
     p = result.params
     rep = result.verification
@@ -358,7 +376,17 @@ def _cmd_verify(args) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        # flush here so a closed pipe raises inside the try, not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        # so that flush cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

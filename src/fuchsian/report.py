@@ -8,14 +8,16 @@ output and re-serializing it reproduces the bytes exactly.
 
 from __future__ import annotations
 
-import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .curves import CurveSpec
 from .uniformize import UniformizationResult, fixed_point_radius
 
 SCHEMA_VERSION = "1"
 DEFAULT_PRECISION = 7
+_INDENT = "  "
 
 
 def round_sig(x: float, precision: int = DEFAULT_PRECISION) -> float:
@@ -25,29 +27,88 @@ def round_sig(x: float, precision: int = DEFAULT_PRECISION) -> float:
     return float(f"{x:.{precision}g}")
 
 
-def _walk(obj, precision: int):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, complex):
-        return [round_sig(obj.real, precision), round_sig(obj.imag, precision)]
+def _float_text(x: float, precision: int) -> str:
+    x = round_sig(x, precision)
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode_items(items, precision: int, newline: str, out: list) -> None:
+    if not items:
+        out.append("[]")
+        return
+    inner = newline + _INDENT
+    sep = "[" + inner
+    for item in items:
+        out.append(sep)
+        _encode(item, precision, inner, out)
+        sep = "," + inner
+    out.append(newline + "]")
+
+
+def _encode(obj, precision: int, newline: str, out: list) -> None:
+    """Append the JSON text of obj; newline is a line break plus the current indent."""
+    # bool is tested before int; the other branches are disjoint types,
+    # ordered by how often reports hold them
     if isinstance(obj, float):
-        return round_sig(obj, precision)
-    if isinstance(obj, Fraction):
-        return [obj.numerator, obj.denominator]
-    if isinstance(obj, dict):
-        return {str(k): _walk(v, precision) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_walk(v, precision) for v in obj]
-    return obj
+        out.append(_float_text(obj, precision))
+    elif isinstance(obj, complex):
+        inner = newline + _INDENT
+        out.append(f"[{inner}{_float_text(obj.real, precision)},"
+                   f"{inner}{_float_text(obj.imag, precision)}{newline}]")
+    elif isinstance(obj, (list, tuple)):
+        _encode_items(obj, precision, newline, out)
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        # later keys win when two keys have the same str, as in a dict display
+        doc = {str(k): v for k, v in obj.items()}
+        inner = newline + _INDENT
+        sep = "{" + inner
+        for key in sorted(doc):
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _encode(doc[key], precision, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, Fraction):
+        _encode_items((obj.numerator, obj.denominator), precision, newline, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj, precision: int = DEFAULT_PRECISION) -> str:
-    """Sorted keys, two-space indent, floats pre-rounded.  No trailing newline."""
-    return json.dumps(_walk(obj, precision), sort_keys=True, indent=2)
+    """Sorted keys, two-space indent, floats pre-rounded.  No trailing newline.
+
+    The bytes equal json.dumps(doc, sort_keys=True, indent=2) of the document
+    with every float passed through round_sig, complex numbers as [re, im]
+    and fractions as [num, den]; one pass here avoids building that copy and
+    the pure-Python encoder an indent selects.
+    """
+    out = []
+    _encode(obj, precision, "\n", out)
+    return "".join(out)
 
 
 def matrix_entry(m) -> list:
-    """2x2 nested list of complex entries, ready for _walk."""
+    """2x2 nested list of complex entries, ready for canonical_json."""
     return [[m.a, m.b], [m.c, m.d]]
 
 

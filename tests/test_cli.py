@@ -1,6 +1,13 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
+import pytest
+
+import fuchsian
 from fuchsian.cli import run
 from fuchsian.curves import curve_from_degree
 from fuchsian.report import canonical_json
@@ -108,6 +115,33 @@ def test_uniformize_base_and_sign(capsys):
 def test_uniformize_rejects_bad_degree(capsys):
     rc, _, err = invoke(capsys, "uniformize", "--degree", "4")
     assert rc == 2 and "degree" in err
+
+
+@pytest.mark.parametrize("base", ["0", "99"])
+def test_uniformize_rejects_base_out_of_range(capsys, base):
+    rc, out, err = invoke(capsys, "uniformize", "--degree", "5", "--base", base)
+    assert (rc, out, err) == (2, "", f"error: base {base} not in 1..5\n")
+
+
+@pytest.mark.parametrize("command", ["uniformize", "verify"])
+def test_degree_with_alpha_one_third_is_a_usage_error(capsys, command):
+    rc, out, err = invoke(capsys, command, "--degree", "9")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: alpha = 1/3") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_without_traceback():
+    src = pathlib.Path(fuchsian.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fuchsian.cli", "uniformize", "--degree", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # the reader goes away before the child, still importing, writes a byte
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_tessellation_by_degree(capsys):

@@ -34,6 +34,10 @@ def random_map(rng, scale=2.0):
             return m
 
 
+def as_array(m):
+    return np.array([[m.a, m.b], [m.c, m.d]], dtype=complex)
+
+
 def test_identity_action():
     e = MoebiusMap.identity()
     for z in (0.0, 1.5 - 0.5j, -3j):
@@ -66,8 +70,8 @@ def test_compose_is_matrix_product():
     rng = np.random.RandomState(12)
     for _ in range(100):
         m1, m2 = random_map(rng), random_map(rng)
-        prod = np.array(compose(m1, m2).matrix())
-        ref = np.array(m1.matrix()) @ np.array(m2.matrix())
+        prod = as_array(compose(m1, m2))
+        ref = as_array(m1) @ as_array(m2)
         assert np.max(np.abs(prod - ref)) < 1e-12
 
 
@@ -109,6 +113,25 @@ def test_projective_distance_scale_invariance():
         assert projective_distance(m, m.scaled(s)) < 1e-12
     # distinct maps stay apart
     assert projective_distance(m, MoebiusMap.identity()) > 1e-3
+
+
+def numpy_projective_distance(m1, m2):
+    """Reference: the same comparison on numpy arrays of the normalized maps."""
+    n1, n2 = as_array(normalize(m1)), as_array(normalize(m2))
+    return min(float(np.abs(n1 - s * n2).max()) for s in (1, -1, 1j, -1j))
+
+
+def test_projective_distance_property():
+    rng = np.random.RandomState(21)
+    for _ in range(300):
+        m1, m2 = random_map(rng), random_map(rng)
+        d = projective_distance(m1, m2)
+        assert abs(d - numpy_projective_distance(m1, m2)) <= 1e-15 * max(1.0, d)
+        s1, s2 = (cmath.rect(10.0 ** rng.uniform(-3, 3), rng.uniform(-cmath.pi, cmath.pi))
+                  for _ in range(2))
+        assert abs(projective_distance(m1.scaled(s1), m2) - d) < 1e-12
+        assert abs(projective_distance(m1, m2.scaled(s2)) - d) < 1e-12
+        assert projective_distance(m1, m1.scaled(s1)) < 1e-12
 
 
 def test_classification_cases():

@@ -2,11 +2,35 @@ import json
 import math
 from fractions import Fraction
 
+import pytest
+
+from fuchsian import cli
 from fuchsian.curves import curve_from_degree
 from fuchsian.hyperbolic import Tessellation, tessellation_topology
 from fuchsian.embed import genus_range
 from fuchsian.report import canonical_json, round_sig, uniformization_report
 from fuchsian.uniformize import uniformize
+
+
+def _walk(obj, precision):
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, complex):
+        return [round_sig(obj.real, precision), round_sig(obj.imag, precision)]
+    if isinstance(obj, float):
+        return round_sig(obj, precision)
+    if isinstance(obj, Fraction):
+        return [obj.numerator, obj.denominator]
+    if isinstance(obj, dict):
+        return {str(k): _walk(v, precision) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_walk(v, precision) for v in obj]
+    return obj
+
+
+def oracle_json(obj, precision=7):
+    """Reference for canonical_json: a rounded copy through the stdlib encoder."""
+    return json.dumps(_walk(obj, precision), sort_keys=True, indent=2)
 
 
 def test_round_sig():
@@ -75,3 +99,77 @@ def test_report_normalized_convention():
     assert doc["convention"] == "normalized"
     assert doc["verification"]["identity_indices"] == [5]
     assert doc["verification"]["duplicate_pairs"] == [[2, 6], [3, 7], [4, 8]]
+
+
+def test_canonical_json_matches_oracle_on_every_report():
+    for n in (5, 6, 7, 8):
+        for sign in (-1, 1):
+            curve = curve_from_degree(n, sign)
+            for base in range(1, n + 1):
+                for normalized in (False, True):
+                    res = uniformize(curve, normalize_output=normalized, base=base)
+                    doc = uniformization_report(
+                        curve, res, topology=tessellation_topology(res.tessellation),
+                        genus_range=genus_range(2, n))
+                    assert canonical_json(doc) == oracle_json(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tessellation", "--degree", "6"],
+    ["tessellation", "--pq", "3,5"],  # spherical: area and topology are null
+    ["tessellation", "--pq", "9,3"],
+    ["tessellation", "--pq", "4,4", "--precision", "3"],
+    ["ode", "build", "--degree", "5"],
+    ["ode", "build", "--degree", "7", "--k1", "0.5,0.25", "--k2=-1,2"],
+    ["ode", "classify", "--named", "Heun", "--params",
+     "1", "2", "3", "4", "5", "2,1", "0.5", "--precision", "15"],
+    ["ode", "classify", "--named", "legendre", "--params", "2"],
+    ["uniformize", "--degree", "8", "--normalize", "--genus-range", "3,4"],
+])
+def test_canonical_json_matches_oracle_on_cli_documents(monkeypatch, capsys, argv):
+    docs = []  # what the CLI hands to canonical_json
+
+    def record(doc, precision=7):
+        docs.append((doc, precision))
+        return canonical_json(doc, precision)
+
+    monkeypatch.setattr(cli, "canonical_json", record)
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert len(docs) == 1
+    doc, precision = docs[0]
+    assert canonical_json(doc, precision) == oracle_json(doc, precision)
+
+
+EDGE_DOC = {
+    "empty_dict": {},
+    "empty_list": [],
+    "nested_empty": {"a": [{}, [], [[]]], "b": {"c": {}}, "t": ()},
+    "same_str_key": {1: "int one", "1": "str one"},
+    "specials": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -2.5e300],
+    "complex": [complex(-0.0, math.nan), 1 / 3 + 2j, complex(math.inf, -1e-9)],
+    "fractions": [Fraction(-3, 7), Fraction(5), Fraction(0)],
+    "bools": [True, False, None, 0, 1, -12345678901234567890],
+    "text": "héllo ✓ \"quoted\"\n\ttab \U0001d11e",
+    3: "int key",
+    "3.5": 3.5,
+    (1, 2): "tuple key",
+    None: "none key",
+    "pi": math.pi,
+}
+
+
+@pytest.mark.parametrize("precision", [3, 7, 15])
+def test_canonical_json_matches_oracle_on_edge_values(precision):
+    assert canonical_json(EDGE_DOC, precision) == oracle_json(EDGE_DOC, precision)
+    for leaf in ([], {}, (), "", "ü", None, True, 7, -0.0, math.nan, 2 - 1j,
+                 Fraction(1, 3)):
+        assert canonical_json(leaf, precision) == oracle_json(leaf, precision)
+
+
+def test_canonical_json_rejects_unknown_types():
+    for bad in (object(), {1, 2}, b"bytes", {"k": [range(3)]}):
+        with pytest.raises(TypeError):
+            oracle_json(bad)
+        with pytest.raises(TypeError):
+            canonical_json(bad)

@@ -57,6 +57,12 @@ def test_parameters_frozen():
         assert abs(p.thetas[0] - math.pi * float(p.alpha) / 2) < 1e-15
 
 
+def test_alpha_below_one_third_accepted():
+    p = mursi_parameters(curve_from_degree(10))
+    assert p.alpha == Fraction(3, 10)
+    assert abs(p.a - (2 * math.cos(0.3 * math.pi) - 1) ** -0.5) < 1e-12
+
+
 def test_genus_too_small():
     c = CurveSpec(degree=3, sign=-1, genus=1, parity=Parity.ODD)
     with pytest.raises(GenusTooSmall):
