@@ -32,7 +32,6 @@ from .hyperbolic import (
     half_turn,
     regular_polygon_area,
     tessellation_topology,
-    tessellation_valid,
     triangle_area,
 )
 from .moebius import (
@@ -70,7 +69,7 @@ __all__ = [
     "named_equation", "singular_points", "whittaker_equation", "Model",
     "ModelPoint", "SurfaceTopology", "Tessellation", "boundary_geodesic_apex",
     "distance", "geodesic_midpoint", "half_turn", "regular_polygon_area",
-    "tessellation_topology", "tessellation_valid", "triangle_area", "INFINITY",
+    "tessellation_topology", "triangle_area", "INFINITY",
     "MoebiusMap", "TransformClass", "classify", "compose", "evaluate_word",
     "fixed_points", "normalize", "projective_distance", "to_disk_model",
     "to_halfplane_model", "canonical_json", "uniformization_report",

@@ -15,13 +15,14 @@ import sys
 from fractions import Fraction
 
 from . import curves, embed, fode, hyperbolic
-from .moebius import IndexOutOfRange, TransformClass, is_infinity
-from .uniformize import GenusTooSmall, fixed_point_radius, uniformize
+from .moebius import IndexOutOfRange, TransformClass
+from .uniformize import fixed_point_radius, uniformize
 from .report import (
     DEFAULT_PRECISION,
-    SCHEMA_VERSION,
     canonical_json,
+    ode_report,
     round_sig,
+    tessellation_report,
     uniformization_report,
 )
 
@@ -39,25 +40,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _complex_arg(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        values = [float(part) for part in text.split(",")]
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+        values = []
+    if not 1 <= len(values) <= 2:
+        raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
+    return complex(*values)
+
+
+def _precision_arg(text: str) -> int:
+    # '.0g' formats like '.1g' and a negative precision is no format at all
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _int_pair_arg(text: str):
-    parts = text.split(",")
     try:
-        if len(parts) == 2:
-            return int(parts[0]), int(parts[1])
+        p, q = map(int, text.split(","))
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected two integers P,Q, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected two integers P,Q, got {text!r}") from None
+    return p, q
 
 
 def _build_parser() -> _Parser:
@@ -74,21 +85,22 @@ def _build_parser() -> _Parser:
                        help="emit det-1 generators instead of raw products")
     p_uni.add_argument("--format", choices=("json", "table", "svg"),
                        default="json")
-    p_uni.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p_uni.add_argument("--tolerance", type=float, default=1e-6,
-                       help="projective tolerance for duplicate detection")
+    p_uni.add_argument("--precision", type=_precision_arg, default=DEFAULT_PRECISION)
     p_uni.add_argument("--genus-range", type=_int_pair_arg, default=None,
                        metavar="M,N", help="embed K_{M,N} genus bounds in the report")
+    p_uni.set_defaults(run=_cmd_uniformize)
 
     p_gr = sub.add_parser("genus-range", help="K_{m,n} embedding genus bounds")
     p_gr.add_argument("m", type=int)
     p_gr.add_argument("n", type=int)
+    p_gr.set_defaults(run=_cmd_genus_range)
 
     p_tess = sub.add_parser("tessellation", help="tessellation data")
     grp = p_tess.add_mutually_exclusive_group(required=True)
     grp.add_argument("--degree", type=int)
     grp.add_argument("--pq", type=_int_pair_arg, metavar="P,Q")
-    p_tess.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    p_tess.add_argument("--precision", type=_precision_arg, default=DEFAULT_PRECISION)
+    p_tess.set_defaults(run=_cmd_tessellation)
 
     p_ode = sub.add_parser("ode", help="differential equations")
     ode_sub = p_ode.add_subparsers(dest="ode_command", required=True,
@@ -97,15 +109,18 @@ def _build_parser() -> _Parser:
     p_build.add_argument("--degree", type=int, required=True)
     p_build.add_argument("--k1", type=_complex_arg, default=0j, metavar="RE,IM")
     p_build.add_argument("--k2", type=_complex_arg, default=0j, metavar="RE,IM")
-    p_build.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    p_build.add_argument("--precision", type=_precision_arg, default=DEFAULT_PRECISION)
+    p_build.set_defaults(run=_cmd_ode_build)
     p_cls = ode_sub.add_parser("classify", help="classify a named equation")
     p_cls.add_argument("--named", required=True)
     p_cls.add_argument("--params", type=_complex_arg, nargs="*", default=[],
                        metavar="RE,IM")
-    p_cls.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    p_cls.add_argument("--precision", type=_precision_arg, default=DEFAULT_PRECISION)
+    p_cls.set_defaults(run=_cmd_ode_classify)
 
     p_ver = sub.add_parser("verify", help="run the verification checks")
     p_ver.add_argument("--degree", type=int, required=True)
+    p_ver.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -121,18 +136,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        if args.command == "uniformize":
-            return _cmd_uniformize(args)
-        if args.command == "genus-range":
-            return _cmd_genus_range(args)
-        if args.command == "tessellation":
-            return _cmd_tessellation(args)
-        if args.command == "ode":
-            return _cmd_ode(args)
-        return _cmd_verify(args)
-    except (curves.DegreeTooSmall, embed.BadDimensions, fode.UnsupportedDegree,
-            fode.UnknownName, fode.BadParamCount, GenusTooSmall,
-            IndexOutOfRange, ValueError) as exc:
+        return args.run(args)
+    except (IndexOutOfRange, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -162,8 +167,7 @@ def _uniformizable_curve(degree: int, sign: int = -1) -> curves.CurveSpec:
 def _cmd_uniformize(args) -> int:
     sign = -1 if args.sign == "minus" else 1
     curve = _uniformizable_curve(args.degree, sign)
-    result = uniformize(curve, normalize_output=args.normalize,
-                             base=args.base, duplicate_tol=args.tolerance)
+    result = uniformize(curve, normalize_output=args.normalize, base=args.base)
     topology = hyperbolic.tessellation_topology(result.tessellation)
     gr = embed.genus_range(*args.genus_range) if args.genus_range else None
 
@@ -171,12 +175,10 @@ def _cmd_uniformize(args) -> int:
         doc = uniformization_report(curve, result, topology=topology,
                                     genus_range=gr)
         print(canonical_json(doc, args.precision))
-        return 0
-    if args.format == "table":
-        for line in _render_table(curve, result, args.precision):
-            print(line)
-        return 0
-    print(_render_svg(curve, result))
+    elif args.format == "table":
+        print("\n".join(_render_table(curve, result, args.precision)))
+    else:
+        print(_render_svg(curve, result))
     return 0
 
 
@@ -258,62 +260,22 @@ def _cmd_tessellation(args) -> int:
         tess = curves.tessellation_for_curve(curves.curve_from_degree(args.degree))
     else:
         tess = hyperbolic.Tessellation(*args.pq)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tessellation": {"p": tess.p, "q": tess.q},
-        "hyperbolic": hyperbolic.tessellation_valid(tess),
-    }
-    try:
-        doc["area"] = hyperbolic.regular_polygon_area(tess)
-    except hyperbolic.NotHyperbolic:
-        doc["area"] = None
-    try:
-        topo = hyperbolic.tessellation_topology(tess)
-        doc["topology"] = {"V": topo.V, "E": topo.E, "F": topo.F,
-                           "chi": topo.chi, "genus": topo.genus}
-    except (hyperbolic.OddSides, hyperbolic.NonIntegerVertexCycle, ValueError) as exc:
-        doc["topology"] = None
-        doc["topology_note"] = str(exc)
+    print(canonical_json(tessellation_report(tess), args.precision))
+    return 0
+
+
+def _cmd_ode_build(args) -> int:
+    ode = fode.curve_ode(curves.curve_from_degree(args.degree), args.k1, args.k2)
+    poly = curves.expand_poly(curves.integer_roots(args.degree))
+    doc = ode_report(ode, degree=args.degree, curve_polynomial=list(poly.coeffs),
+                     k1=args.k1, k2=args.k2)
     print(canonical_json(doc, args.precision))
     return 0
 
 
-def _point_entry(pc) -> dict:
-    loc = "infinity" if is_infinity(pc.location) else pc.location
-    return {"location": loc, "kind": str(pc.kind)}
-
-
-def _rational_entry(rf) -> dict:
-    return {"numerator": list(rf.num.coeffs), "denominator": list(rf.den.coeffs)}
-
-
-def _cmd_ode(args) -> int:
-    if args.ode_command == "build":
-        curve = curves.curve_from_degree(args.degree)
-        ode = fode.curve_ode(curve, args.k1, args.k2)
-        poly = curves.expand_poly(curves.integer_roots(args.degree))
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "degree": args.degree,
-            "curve_polynomial": list(poly.coeffs),
-            "k1": args.k1,
-            "k2": args.k2,
-            "p1": _rational_entry(ode.p1),
-            "p2": _rational_entry(ode.p2),
-            "singular_points": [_point_entry(pc) for pc in fode.singular_points(ode)],
-            "fuchsian": fode.is_fuchsian(ode),
-        }
-    else:
-        ode = fode.named_equation(args.named, args.params)
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "name": ode.params.get("name"),
-            "params": list(args.params),
-            "p1": _rational_entry(ode.p1),
-            "p2": _rational_entry(ode.p2),
-            "singular_points": [_point_entry(pc) for pc in fode.singular_points(ode)],
-            "fuchsian": fode.is_fuchsian(ode),
-        }
+def _cmd_ode_classify(args) -> int:
+    ode = fode.named_equation(args.named, args.params)
+    doc = ode_report(ode, name=ode.params.get("name"), params=list(args.params))
     print(canonical_json(doc, args.precision))
     return 0
 
@@ -323,11 +285,8 @@ def _cmd_verify(args) -> int:
     result = uniformize(curve)
     p = result.params
     rep = result.verification
-    checks = []
-
-    checks.append(("side involutions",
-                   rep.side_involution_residual < CHECK_TOL,
-                   f"residual {rep.side_involution_residual:.3e}"))
+    checks = [("side involutions", rep.all_sides_involutive,
+               f"residual {rep.side_involution_residual:.3e}")]
 
     rho = fixed_point_radius(p)
     spread = max(abs(abs(z) - rho) for z in result.fixed_points)
@@ -355,11 +314,8 @@ def _cmd_verify(args) -> int:
                    all(c is TransformClass.HYPERBOLIC for c in non_identity),
                    ", ".join(str(c) for c in rep.classes)))
 
-    failed = False
     for name, ok, detail in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            failed = True
 
     if rep.identity_indices or rep.duplicate_pairs:
         base = result.base_index
@@ -372,7 +328,7 @@ def _cmd_verify(args) -> int:
     for name, residual in sorted(rep.relation_residuals.items()):
         print(f"relation residual {name}: {residual:.6e}")
 
-    return 1 if failed else 0
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 def main() -> None:

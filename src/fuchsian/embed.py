@@ -1,4 +1,4 @@
-"""Genus bounds for 2-cell embeddings of K_{m,n} and the channel graph.
+"""Genus bounds for 2-cell embeddings of K_{m,n}.
 
 g_min = ceil((m-2)(n-2)/4), g_max = floor((m-1)(n-1)/2), both on exact
 integer arithmetic.
@@ -20,27 +20,6 @@ class GenusRange:
     g_max: int
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Discrete memoryless channel with m inputs and n outputs."""
-
-    inputs: int
-    outputs: int
-
-    def __post_init__(self):
-        if self.inputs < 2 or self.outputs < 2:
-            raise BadDimensions(f"channel sizes {self.inputs}x{self.outputs} below 2")
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """K_{m,n}: left vertices 0..m-1, right vertices m..m+n-1."""
-
-    m: int
-    n: int
-    edges: tuple
-
-
 def genus_range(m: int, n: int) -> GenusRange:
     """Smallest and largest genus of an orientable surface 2-cell embedding K_{m,n}."""
     if m < 2 or n < 2:
@@ -50,10 +29,3 @@ def genus_range(m: int, n: int) -> GenusRange:
     g_min = -((-lo.numerator) // lo.denominator)  # exact ceiling
     g_max = hi.numerator // hi.denominator  # exact floor
     return GenusRange(g_min=int(g_min), g_max=int(g_max))
-
-
-def channel_graph(ch: ChannelSpec) -> BipartiteGraph:
-    """The complete bipartite graph linking every input to every output."""
-    m, n = ch.inputs, ch.outputs
-    edges = tuple((i, m + j) for i in range(m) for j in range(n))
-    return BipartiteGraph(m=m, n=n, edges=edges)

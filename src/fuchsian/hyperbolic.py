@@ -151,7 +151,7 @@ def triangle_area(alpha: float, beta: float, theta: float) -> float:
     """Gauss-Bonnet area pi - alpha - beta - theta of a hyperbolic triangle.
 
     Angle sum exactly pi (the Euclidean boundary) returns 0 rather than
-    raising; see is_euclidean_triangle.
+    raising.
     """
     if min(alpha, beta, theta) < 0.0:
         raise ValueError("angles must be nonnegative")
@@ -161,11 +161,6 @@ def triangle_area(alpha: float, beta: float, theta: float) -> float:
     if s >= math.pi - ANGLE_TOL:
         return 0.0
     return math.pi - s
-
-
-def is_euclidean_triangle(alpha: float, beta: float, theta: float) -> bool:
-    """True when the angle sum sits on the Euclidean boundary (= pi)."""
-    return abs((alpha + beta + theta) - math.pi) <= ANGLE_TOL
 
 
 @dataclass(frozen=True)
@@ -181,6 +176,7 @@ class Tessellation:
 
     @property
     def is_hyperbolic(self) -> bool:
+        """(p-2)(q-2) > 4, the hyperbolic-plane admissibility inequality."""
         return (self.p - 2) * (self.q - 2) > 4
 
 
@@ -191,11 +187,6 @@ class SurfaceTopology:
     F: int
     chi: int
     genus: int
-
-
-def tessellation_valid(t: Tessellation) -> bool:
-    """(p-2)(q-2) > 4, the hyperbolic-plane admissibility inequality."""
-    return t.is_hyperbolic
 
 
 def regular_polygon_area(t: Tessellation) -> float:

@@ -1,5 +1,9 @@
 """Report documents and canonical serialization.
 
+Every JSON document the CLI prints is built here: the uniformization
+report, the tessellation document and the ODE document of `ode build` and
+`ode classify`.
+
 Complex numbers serialize as [re, im] pairs, exact rationals as [num, den]
 integer pairs.  Floats are rounded to a configurable number of significant
 digits before JSON encoding; since rounding is idempotent, parsing the
@@ -13,6 +17,14 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .curves import CurveSpec
+from .fode import SecondOrderODE, is_fuchsian, singular_points
+from .hyperbolic import (
+    NotHyperbolic,
+    Tessellation,
+    regular_polygon_area,
+    tessellation_topology,
+)
+from .moebius import is_infinity
 from .uniformize import UniformizationResult, fixed_point_radius
 
 SCHEMA_VERSION = "1"
@@ -107,18 +119,9 @@ def canonical_json(obj, precision: int = DEFAULT_PRECISION) -> str:
     return "".join(out)
 
 
-def matrix_entry(m) -> list:
-    """2x2 nested list of complex entries, ready for canonical_json."""
-    return [[m.a, m.b], [m.c, m.d]]
-
-
-def curve_summary(c: CurveSpec) -> dict:
-    return {
-        "degree": c.degree,
-        "sign": c.sign,
-        "genus": c.genus,
-        "parity": c.parity.value,
-    }
+def _topology_entry(topo) -> dict:
+    return {"V": topo.V, "E": topo.E, "F": topo.F, "chi": topo.chi,
+            "genus": topo.genus}
 
 
 def uniformization_report(curve: CurveSpec, result: UniformizationResult, *,
@@ -129,7 +132,12 @@ def uniformization_report(curve: CurveSpec, result: UniformizationResult, *,
     rep = result.verification
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "curve": curve_summary(curve),
+        "curve": {
+            "degree": curve.degree,
+            "sign": curve.sign,
+            "genus": curve.genus,
+            "parity": curve.parity.value,
+        },
         "parameters": {
             "alpha": params.alpha,
             "a": params.a,
@@ -138,9 +146,9 @@ def uniformization_report(curve: CurveSpec, result: UniformizationResult, *,
         "base_index": base,
         "convention": "normalized" if result.normalized_output else "raw",
         "matrices": {
-            "sides": {f"S{r}": matrix_entry(m)
+            "sides": {f"S{r}": [[m.a, m.b], [m.c, m.d]]
                       for r, m in enumerate(result.side_transforms, start=1)},
-            "generators": {f"S{base}S{r}": matrix_entry(m)
+            "generators": {f"S{base}S{r}": [[m.a, m.b], [m.c, m.d]]
                            for r, m in zip(result.generator_labels,
                                            result.generators)},
         },
@@ -157,9 +165,48 @@ def uniformization_report(curve: CurveSpec, result: UniformizationResult, *,
         },
     }
     if topology is not None:
-        doc["topology"] = {"V": topology.V, "E": topology.E, "F": topology.F,
-                           "chi": topology.chi, "genus": topology.genus}
+        doc["topology"] = _topology_entry(topology)
     if genus_range is not None:
         doc["genus_range"] = {"g_min": genus_range.g_min,
                               "g_max": genus_range.g_max}
     return doc
+
+
+def tessellation_report(tess: Tessellation) -> dict:
+    """The `tessellation` document.  area is null for a spherical {p,q};
+    topology is null, with a note, when the sides cannot pair into a surface."""
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "tessellation": {"p": tess.p, "q": tess.q},
+        "hyperbolic": tess.is_hyperbolic,
+    }
+    try:
+        doc["area"] = regular_polygon_area(tess)
+    except NotHyperbolic:
+        doc["area"] = None
+    try:
+        doc["topology"] = _topology_entry(tessellation_topology(tess))
+    except ValueError as exc:
+        doc["topology"] = None
+        doc["topology_note"] = str(exc)
+    return doc
+
+
+def ode_report(ode: SecondOrderODE, **header) -> dict:
+    """The `ode build` / `ode classify` document: the header fields, the
+    rational coefficients, the singular points and the Fuchsian verdict."""
+    def rational(rf):
+        return {"numerator": list(rf.num.coeffs),
+                "denominator": list(rf.den.coeffs)}
+
+    return {
+        "schema_version": SCHEMA_VERSION,
+        **header,
+        "p1": rational(ode.p1),
+        "p2": rational(ode.p2),
+        "singular_points": [
+            {"location": "infinity" if is_infinity(pc.location) else pc.location,
+             "kind": str(pc.kind)}
+            for pc in singular_points(ode)],
+        "fuchsian": is_fuchsian(ode),
+    }

@@ -130,6 +130,33 @@ def test_degree_with_alpha_one_third_is_a_usage_error(capsys, command):
     assert err.startswith("error: alpha = 1/3") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--k1", "nan"), ("--k1", "inf,0"), ("--k2", "0,-inf"), ("--k2", "1e400"),
+    ("--params", "nan"), ("--params", "2,inf"),
+])
+def test_non_finite_numbers_are_usage_errors(capsys, option, value):
+    if option == "--params":
+        argv = ["ode", "classify", "--named", "legendre", option, value]
+    else:
+        argv = ["ode", "build", "--degree", "5", option, value]
+    rc, out, err = invoke(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: argument {option}: expected finite numbers, got {value!r}\n"
+
+
+@pytest.mark.parametrize("precision", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["uniformize", "--degree", "5"],
+    ["tessellation", "--degree", "5"],
+    ["ode", "build", "--degree", "5"],
+    ["ode", "classify", "--named", "legendre", "--params", "2"],
+])
+def test_precision_below_one_is_a_usage_error(capsys, argv, precision):
+    rc, out, err = invoke(capsys, *argv, "--precision", precision)
+    assert (rc, out) == (2, "")
+    assert err == f"error: argument --precision: must be at least 1, got {precision}\n"
+
+
 def test_closed_stdout_exits_without_traceback():
     src = pathlib.Path(fuchsian.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from fuchsian.embed import (
-    BadDimensions,
-    ChannelSpec,
-    GenusRange,
-    channel_graph,
-    genus_range,
-)
+from fuchsian.embed import BadDimensions, GenusRange, genus_range
 
 
 def test_known_ranges():
@@ -34,24 +28,3 @@ def test_bad_dimensions():
         genus_range(1, 5)
     with pytest.raises(BadDimensions):
         genus_range(2, 0)
-    with pytest.raises(ValueError):
-        ChannelSpec(1, 3)
-
-
-def test_channel_graph():
-    g = channel_graph(ChannelSpec(2, 3))
-    assert (g.m, g.n) == (2, 3)
-    assert len(g.edges) == 6
-    assert len(set(g.edges)) == 6
-    for i, j in g.edges:
-        assert 0 <= i < 2          # left block
-        assert 2 <= j < 5          # right block, offset by m
-    assert g.edges[0] == (0, 2)
-
-
-def test_complete_bipartite_edge_count():
-    rng = np.random.RandomState(62)
-    for _ in range(20):
-        m, n = int(rng.randint(2, 12)), int(rng.randint(2, 12))
-        g = channel_graph(ChannelSpec(m, n))
-        assert len(g.edges) == m * n

@@ -20,10 +20,8 @@ from fuchsian.hyperbolic import (
     distance,
     geodesic_midpoint,
     half_turn,
-    is_euclidean_triangle,
     regular_polygon_area,
     tessellation_topology,
-    tessellation_valid,
     triangle_area,
 )
 from fuchsian.moebius import apply, compose, is_projectively_identity, normalize
@@ -176,8 +174,6 @@ def test_half_turn_swaps_endpoints():
 def test_triangle_area():
     assert abs(triangle_area(0.2, 0.3, 0.4) - (math.pi - 0.9)) < 1e-15
     assert triangle_area(math.pi / 2, math.pi / 4, math.pi / 4) == 0.0
-    assert is_euclidean_triangle(math.pi / 3, math.pi / 3, math.pi / 3)
-    assert not is_euclidean_triangle(0.2, 0.3, 0.4)
     with pytest.raises(ValueError):
         triangle_area(-0.1, 0.2, 0.3)
     with pytest.raises(AngleSumExceedsPi):
@@ -185,9 +181,9 @@ def test_triangle_area():
 
 
 def test_tessellation_validity():
-    assert tessellation_valid(Tessellation(7, 3))
-    assert not tessellation_valid(Tessellation(4, 4))  # Euclidean
-    assert not tessellation_valid(Tessellation(3, 5))  # spherical
+    assert Tessellation(7, 3).is_hyperbolic
+    assert not Tessellation(4, 4).is_hyperbolic  # Euclidean
+    assert not Tessellation(3, 5).is_hyperbolic  # spherical
     with pytest.raises(ValueError):
         Tessellation(2, 7)
 
