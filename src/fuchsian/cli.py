@@ -313,6 +313,9 @@ def _cmd_verify(args) -> int:
     checks.append(("generators hyperbolic",
                    all(c is TransformClass.HYPERBOLIC for c in non_identity),
                    ", ".join(str(c) for c in rep.classes)))
+    for name, residual in sorted(rep.relation_residuals.items()):
+        checks.append((f"relation {name}", residual < CHECK_TOL,
+                       f"residual {residual:.3e}"))
 
     for name, ok, detail in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
@@ -324,9 +327,6 @@ def _cmd_verify(args) -> int:
             print(f"  projective identity: S{base}S{r}")
         for r1, r2 in rep.duplicate_pairs:
             print(f"  duplicate pair: S{base}S{r1} ~ S{base}S{r2}")
-
-    for name, residual in sorted(rep.relation_residuals.items()):
-        print(f"relation residual {name}: {residual:.6e}")
 
     return 0 if all(ok for _, ok, _ in checks) else 1
 

@@ -2,6 +2,7 @@
 
 Genus and parity from the degree, singularities as roots of unity, the
 integer-shifted root representation, and monic polynomial expansion.
+Arithmetic is plain Python; only Poly.roots calls an eigenvalue solver.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .hyperbolic import Tessellation
 
 COEFF_TRIM_TOL = 1e-12
@@ -20,6 +19,10 @@ COEFF_TRIM_TOL = 1e-12
 
 class DegreeTooSmall(ValueError):
     """Hyperelliptic here means degree at least 5."""
+
+
+class RootFindingFailure(ValueError):
+    """The companion matrix of a polynomial is not finite (coefficient overflow)."""
 
 
 class Parity(Enum):
@@ -132,7 +135,11 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:
             return Poly.zero()
-        return Poly(tuple(np.convolve(self.coeffs, other.coeffs)))
+        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Poly(tuple(out))
 
     def scaled(self, s: complex) -> "Poly":
         return Poly(tuple(s * c for c in self.coeffs))
@@ -142,10 +149,18 @@ class Poly:
             return Poly.zero()
         return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
-    def roots(self) -> np.ndarray:
+    def roots(self) -> tuple:
         if self.degree < 1:
-            return np.array([], dtype=complex)
-        return np.roots(list(reversed(self.coeffs)))
+            return ()
+        import numpy as np
+        # an overflowing coefficient ratio leaves inf or nan in the companion
+        # matrix, which eigvals rejects; the warnings would only repeat that
+        try:
+            with np.errstate(all="ignore"):
+                found = np.roots(list(reversed(self.coeffs)))
+        except np.linalg.LinAlgError as exc:
+            raise RootFindingFailure(f"root finding failed: {exc}") from exc
+        return tuple(map(complex, found))
 
     def trimmed(self, tol: float = COEFF_TRIM_TOL) -> "Poly":
         """Zero out coefficients that are float noise relative to the largest."""

@@ -4,8 +4,9 @@ Construction from singularity data, a catalog of classical named equations,
 the Whittaker normal-form equation built from a polynomial f, and
 regular-singular-point classification on the extended plane.
 
-Rational functions are kept in factored form (leading coefficient plus root
-list), so pole orders are exact multiplicity counts even for double poles.
+Rational functions are kept in factored form only (leading coefficient plus
+root list), so pole orders are exact multiplicity counts even for double
+poles; the expanded numerator and denominator are derived on demand.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
-from .curves import CurveSpec, DegreeTooSmall, Poly, expand_poly, integer_roots
+# RootFindingFailure is raised by Poly.roots and re-exported here
+from .curves import CurveSpec, DegreeTooSmall, Poly, RootFindingFailure, expand_poly
 from .moebius import INFINITY, is_infinity
 
 # root clustering radius for cancellation / multiplicity counting
@@ -59,17 +59,6 @@ class UnsupportedDegree(ValueError):
     pass
 
 
-class RootFindingFailure(RuntimeError):
-    pass
-
-
-def _roots_of(p: Poly) -> np.ndarray:
-    try:
-        return p.roots()
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
-        raise RootFindingFailure(str(exc)) from exc
-
-
 def _match_tol(z: complex) -> float:
     return ROOT_MATCH_TOL * (1.0 + abs(z))
 
@@ -79,15 +68,22 @@ class RationalFn:
     """num/den with common roots cancelled at construction.
 
     lead * prod(z - r) over num_roots gives the numerator (same for the
-    denominator); num and den hold the expanded polynomials for display.
+    denominator).  Only this factored form is stored; num and den derive the
+    expanded polynomials on demand for display.
     """
 
-    num: Poly
-    den: Poly
     num_lead: complex
     den_lead: complex
     num_roots: tuple
     den_roots: tuple
+
+    @property
+    def num(self) -> Poly:
+        return expand_poly(self.num_roots).scaled(self.num_lead).trimmed()
+
+    @property
+    def den(self) -> Poly:
+        return expand_poly(self.den_roots).scaled(self.den_lead).trimmed()
 
     @property
     def is_zero(self) -> bool:
@@ -121,24 +117,19 @@ def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
     if complex(den_lead) == 0:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
-        return RationalFn(Poly.zero(), Poly.one(), 0j, 1.0, (), ())
+        return ZERO_RATIONAL
     num_lead = num.coeffs[-1]
-    num_roots = [complex(r) for r in _roots_of(num)]
+    num_roots = list(num.roots())
     remaining_den = []
     for s in den_roots:
-        hit = None
-        for i, r in enumerate(num_roots):
-            if abs(r - s) <= _match_tol(s):
-                hit = i
-                break
+        hit = next((i for i, r in enumerate(num_roots)
+                    if abs(r - s) <= _match_tol(s)), None)
         if hit is None:
             remaining_den.append(s)
         else:
             num_roots.pop(hit)
-    num_poly = expand_poly(num_roots).scaled(num_lead).trimmed()
-    den_poly = expand_poly(remaining_den).scaled(den_lead).trimmed()
-    return RationalFn(num_poly, den_poly, num_lead, complex(den_lead),
-                      tuple(num_roots), tuple(remaining_den))
+    return RationalFn(num_lead, complex(den_lead), tuple(num_roots),
+                      tuple(remaining_den))
 
 
 def rational_fn(num: Poly, den: Poly) -> RationalFn:
@@ -146,10 +137,10 @@ def rational_fn(num: Poly, den: Poly) -> RationalFn:
     den = den.trimmed()
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
-    return _build_rational(num, den.coeffs[-1], _roots_of(den))
+    return _build_rational(num, den.coeffs[-1], den.roots())
 
 
-ZERO_RATIONAL = RationalFn(Poly.zero(), Poly.one(), 0j, 1.0, (), ())
+ZERO_RATIONAL = RationalFn(0j, 1.0, (), ())
 
 
 class PointKind(Enum):
@@ -295,7 +286,7 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
     n = f.degree
     if n < 5:
         raise DegreeTooSmall(f"deg f = {n} < 5")
-    roots = [complex(r) for r in _roots_of(f)]
+    roots = f.roots()
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if abs(roots[i] - roots[j]) <= DISTINCT_ROOT_TOL * (1.0 + abs(roots[i])):
@@ -358,17 +349,11 @@ def _infinity_pole_orders(ode: SecondOrderODE) -> tuple:
         if e1 >= 0:
             o1 = 1
         elif e1 == -1:
-            # P1 = (2 D - N)/(w D); vanishing order of 2D - N at 0 lowers the pole
+            # P1 = (2 D - N)/(w D); the pole cancels where 2D - N vanishes at 0
             N = _one_sided(p1.num_roots, p1.num_lead)
             D = _one_sided(p1.den_roots, p1.den_lead)
             h = (D.scaled(2.0) - N).trimmed()
-            if h.is_zero:
-                o1 = 0
-            else:
-                m = 0
-                while m < len(h.coeffs) and h.coeffs[m] == 0:
-                    m += 1
-                o1 = max(0, 1 - m)
+            o1 = 1 if h.coeffs[0] != 0 else 0
         else:
             o1 = -e1
     return o1, o2

@@ -171,6 +171,19 @@ def test_closed_stdout_exits_without_traceback():
     assert err == b""
 
 
+def test_root_finding_overflow_is_a_domain_error():
+    # finite --k1 whose coefficient ratio overflows inside the root finder
+    src = pathlib.Path(fuchsian.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuchsian.cli", "ode", "build", "--degree", "5",
+         "--k1", "1e308,1e308"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: root finding failed")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_tessellation_by_degree(capsys):
     rc, out, _ = invoke(capsys, "tessellation", "--degree", "7")
     doc = json.loads(out)
@@ -238,11 +251,21 @@ def test_ode_classify_bad_param_count(capsys):
 
 
 def test_verify_clean_degrees(capsys):
-    for degree in ("5", "6", "7"):
+    for degree in ("5", "7"):
         rc, out, _ = invoke(capsys, "verify", "--degree", degree)
         assert rc == 0
         assert "FAIL" not in out
         assert "warning" not in out
+        assert "ok   relation gamma" in out
+
+
+def test_verify_degree6_fails_on_its_printed_relations(capsys):
+    # the degree-6 words reduce to M_1...M_6, an elliptic involution, not 1
+    rc, out, _ = invoke(capsys, "verify", "--degree", "6")
+    assert rc == 1
+    assert "FAIL relation gamma10_a: residual 6.54" in out
+    assert "FAIL relation gamma10_b: residual 6.54" in out
+    assert out.count("FAIL") == 2
 
 
 def test_verify_degree8_warns_but_passes(capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from fuchsian.curves import (
     DegreeTooSmall,
     Parity,
     Poly,
+    RootFindingFailure,
     curve_from_degree,
     expand_poly,
     integer_roots,
@@ -107,6 +109,17 @@ def test_poly_arithmetic():
     assert Poly.variable().coeffs == (0, 1)
 
 
+def test_poly_product_matches_numpy_convolve():
+    rng = np.random.RandomState(42)
+    for _ in range(300):
+        a, b = (rng.uniform(-1, 1, (rng.randint(1, 21), 2)) @ (1, 1j)
+                for _ in range(2))
+        got = (Poly(tuple(a)) * Poly(tuple(b))).coeffs
+        ref = np.convolve(a, b)
+        assert len(got) == len(ref)
+        assert np.max(np.abs(np.array(got) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_poly_trailing_zeros_stripped():
     assert Poly((1, 2, 0, 0)).coeffs == (1, 2)
     assert Poly((0, 0)).coeffs == (0,)
@@ -122,6 +135,19 @@ def test_poly_roots():
     p = expand_poly([1.0, 2.0])
     roots = sorted(p.roots(), key=lambda z: z.real)
     assert abs(roots[0] - 1) < 1e-9 and abs(roots[1] - 2) < 1e-9
+    assert type(p.roots()) is tuple
+    assert all(type(r) is complex for r in p.roots())
+    assert Poly((3.0,)).roots() == ()
+
+
+def test_poly_roots_overflow_is_a_value_error():
+    # -coeffs / lead overflows to inf and nan in the companion matrix
+    p = Poly((1e308 + 1e308j, 1e-300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes either
+        with pytest.raises(RootFindingFailure, match="root finding failed"):
+            p.roots()
+    assert issubclass(RootFindingFailure, ValueError)
 
 
 def test_poly_trimmed():

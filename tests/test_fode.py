@@ -1,10 +1,12 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fuchsian import curves
 from fuchsian.curves import DegreeTooSmall, Poly, curve_from_degree, expand_poly
 from fuchsian.fode import (
     ZERO_RATIONAL,
@@ -14,6 +16,7 @@ from fuchsian.fode import (
     PointKind,
     RationalFn,
     RepeatedRoots,
+    RootFindingFailure,
     SecondOrderODE,
     UnknownName,
     UnsupportedDegree,
@@ -46,7 +49,7 @@ def test_rational_fn_pole_orders():
     assert f.pole_order(3.0) == 1
     assert f.pole_order(0.0) == 0
     # multiplicities live in the stored root list, not in re-factoring
-    g = RationalFn(Poly.one(), expand_poly([1.0, 1.0]), 1.0, 1.0, (), (1.0, 1.0))
+    g = RationalFn(1.0, 1.0, (), (1.0, 1.0))
     assert g.pole_order(1.0) == 2
     assert g.pole_order(1.0 + 2e-10) == 2  # clustering absorbs query offset
 
@@ -66,6 +69,40 @@ def test_zero_rational():
     assert ZERO_RATIONAL.is_zero
     assert ZERO_RATIONAL.pole_order(0.7) == 0
     assert ZERO_RATIONAL(2.0) == 0
+    assert ZERO_RATIONAL.num.is_zero and ZERO_RATIONAL.den.coeffs == (1,)
+    assert rational_fn(Poly.zero(), expand_poly([1.0])) is ZERO_RATIONAL
+
+
+def test_rational_fn_stores_only_the_factored_form():
+    assert [f.name for f in dataclasses.fields(RationalFn)] == \
+        ["num_lead", "den_lead", "num_roots", "den_roots"]
+    assert RootFindingFailure is curves.RootFindingFailure
+
+
+def _rational_samples():
+    yield rational_fn(Poly((1.0, 2.0, 1.0)), expand_poly([2.0, -3.0]))
+    yield rational_fn(expand_poly([0.5j, 4.0]).scaled(2.0 - 1.0j),
+                      expand_poly([1.0, -1.0, 2.0j]).scaled(0.5))
+    for name, count in (("Legendre", 1), ("Tchebychev", 1), ("Heun", 7),
+                        ("Hypergeometric", 3), ("WhittakerHypergeometric", 0)):
+        # Heun's sixth parameter, 0.5+1.25j, is its third pole besides 0 and 1
+        params = [0.5 + 0.25j * k for k in range(count)]
+        ode = named_equation(name, params)
+        yield ode.p1
+        yield ode.p2
+    for n in range(5, 11):
+        roots = [cmath.exp(2j * math.pi * (k + 0.3) / n) for k in range(n)]
+        yield whittaker_equation(expand_poly(roots).scaled(1.5 - 0.5j)).p2
+
+
+def test_expanded_forms_agree_with_factored_evaluation():
+    rng = np.random.RandomState(53)
+    for rf in _rational_samples():
+        num, den = rf.num, rf.den
+        for _ in range(10):
+            z = complex(*rng.uniform(-3, 3, 2))
+            ref = rf(z)
+            assert abs(num(z) / den(z) - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 def test_legendre():
