@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import curves, embed, fode, hyperbolic
-from .moebius import IndexOutOfRange, TransformClass
-from .uniformize import fixed_point_radius, uniformize
+from .moebius import IndexOutOfRange
+from .uniformize import uniformize
 from .report import (
     DEFAULT_PRECISION,
     canonical_json,
@@ -24,9 +24,10 @@ from .report import (
     round_sig,
     tessellation_report,
     uniformization_report,
+    verification_checks,
 )
 
-CHECK_TOL = 1e-9
+_SVG_SIZE = 480
 
 
 class _UsageError(Exception):
@@ -86,8 +87,6 @@ def _build_parser() -> _Parser:
     p_uni.add_argument("--format", choices=("json", "table", "svg"),
                        default="json")
     p_uni.add_argument("--precision", type=_precision_arg, default=DEFAULT_PRECISION)
-    p_uni.add_argument("--genus-range", type=_int_pair_arg, default=None,
-                       metavar="M,N", help="embed K_{M,N} genus bounds in the report")
     p_uni.set_defaults(run=_cmd_uniformize)
 
     p_gr = sub.add_parser("genus-range", help="K_{m,n} embedding genus bounds")
@@ -168,12 +167,9 @@ def _cmd_uniformize(args) -> int:
     sign = -1 if args.sign == "minus" else 1
     curve = _uniformizable_curve(args.degree, sign)
     result = uniformize(curve, normalize_output=args.normalize, base=args.base)
-    topology = hyperbolic.tessellation_topology(result.tessellation)
-    gr = embed.genus_range(*args.genus_range) if args.genus_range else None
-
     if args.format == "json":
-        doc = uniformization_report(curve, result, topology=topology,
-                                    genus_range=gr)
+        topology = hyperbolic.tessellation_topology(result.tessellation)
+        doc = uniformization_report(curve, result, topology=topology)
         print(canonical_json(doc, args.precision))
     elif args.format == "table":
         print("\n".join(_render_table(curve, result, args.precision)))
@@ -205,9 +201,9 @@ def _render_table(curve, result, precision):
         yield "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
 
 
-def _render_svg(curve, result, size=480) -> str:
+def _render_svg(curve, result) -> str:
     """Unit disk, ideal vertices, side geodesics, interior fixed points."""
-    half = size / 2.0
+    half = _SVG_SIZE / 2.0
     scale = half / 1.15
 
     def pt(z):
@@ -217,8 +213,8 @@ def _render_svg(curve, result, size=480) -> str:
     roots = curve.singularities
     n = len(roots)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
+        f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
         f'<circle cx="{half}" cy="{half}" r="{scale}" fill="none" '
         f'stroke="black" stroke-width="1.5"/>',
     ]
@@ -281,45 +277,12 @@ def _cmd_ode_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    curve = _uniformizable_curve(args.degree)
-    result = uniformize(curve)
-    p = result.params
-    rep = result.verification
-    checks = [("side involutions", rep.all_sides_involutive,
-               f"residual {rep.side_involution_residual:.3e}")]
-
-    rho = fixed_point_radius(p)
-    spread = max(abs(abs(z) - rho) for z in result.fixed_points)
-    checks.append(("fixed-point radius", spread < CHECK_TOL,
-                   f"rho {rho:.7f}, spread {spread:.3e}"))
-
-    spacing = 2.0 * math.pi * float(p.alpha)
-    gap_err = max(abs((p.thetas[i + 1] - p.thetas[i]) - spacing)
-                  for i in range(len(p.thetas) - 1))
-    checks.append(("fixed-point spacing", gap_err < CHECK_TOL,
-                   f"2 pi alpha = {spacing:.7f}, error {gap_err:.3e}"))
-
-    topo = hyperbolic.tessellation_topology(result.tessellation)
-    checks.append(("topology genus", topo.genus == p.genus,
-                   f"V={topo.V} E={topo.E} F={topo.F} chi={topo.chi} "
-                   f"genus {topo.genus} vs curve {p.genus}"))
-
-    expected_area = 4.0 * math.pi * (p.genus - 1)
-    checks.append(("area identity", abs(result.area - expected_area) < CHECK_TOL,
-                   f"area {result.area:.7f} vs 4 pi (g-1) = {expected_area:.7f}"))
-
-    non_identity = [cls for lbl, cls in zip(result.generator_labels, rep.classes)
-                    if lbl not in rep.identity_indices]
-    checks.append(("generators hyperbolic",
-                   all(c is TransformClass.HYPERBOLIC for c in non_identity),
-                   ", ".join(str(c) for c in rep.classes)))
-    for name, residual in sorted(rep.relation_residuals.items()):
-        checks.append((f"relation {name}", residual < CHECK_TOL,
-                       f"residual {residual:.3e}"))
-
+    result = uniformize(_uniformizable_curve(args.degree))
+    checks = verification_checks(result)
     for name, ok, detail in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
 
+    rep = result.verification
     if rep.identity_indices or rep.duplicate_pairs:
         base = result.base_index
         print("warning: degenerate generator set")

@@ -73,10 +73,8 @@ def integer_roots(n: int) -> list:
     """
     if n < 5:
         raise DegreeTooSmall(f"degree {n} < 5")
-    if n % 2:
-        half = (n - 1) // 2
-        return list(range(-half, half + 1))
-    return list(range(-(n - 2) // 2, n // 2 + 1))
+    lo = -((n - 1) // 2)
+    return list(range(lo, lo + n))
 
 
 @dataclass(frozen=True)
@@ -163,11 +161,19 @@ class Poly:
         return tuple(map(complex, found))
 
     def trimmed(self, tol: float = COEFF_TRIM_TOL) -> "Poly":
-        """Zero out coefficients that are float noise relative to the largest."""
-        scale = max((abs(c) for c in self.coeffs), default=0.0)
+        """Zero out coefficients that are float noise relative to the largest.
+        An overflowed coefficient raises ValueError; as the scale it would zero all."""
+        try:
+            sizes = [abs(c) for c in self.coeffs]
+        except OverflowError:  # finite parts, modulus past the float range
+            sizes = [math.inf]
+        if not all(map(math.isfinite, sizes)):
+            raise ValueError(f"coefficient overflow: {list(self.coeffs)}")
+        scale = max(sizes, default=0.0)
         if scale == 0.0:
             return Poly.zero()
-        return Poly(tuple(0.0 if abs(c) <= tol * scale else c for c in self.coeffs))
+        return Poly(tuple(0.0 if s <= tol * scale else c
+                          for c, s in zip(self.coeffs, sizes)))
 
 
 def expand_poly(roots) -> Poly:

@@ -7,7 +7,6 @@ integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class BadDimensions(ValueError):
@@ -24,8 +23,5 @@ def genus_range(m: int, n: int) -> GenusRange:
     """Smallest and largest genus of an orientable surface 2-cell embedding K_{m,n}."""
     if m < 2 or n < 2:
         raise BadDimensions(f"need m, n >= 2, got {m}, {n}")
-    lo = Fraction((m - 2) * (n - 2), 4)
-    hi = Fraction((m - 1) * (n - 1), 2)
-    g_min = -((-lo.numerator) // lo.denominator)  # exact ceiling
-    g_max = hi.numerator // hi.denominator  # exact floor
-    return GenusRange(g_min=int(g_min), g_max=int(g_max))
+    # ceiling as minus the floor of the negation
+    return GenusRange(g_min=-(-(m - 2) * (n - 2) // 4), g_max=(m - 1) * (n - 1) // 2)

@@ -244,18 +244,16 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
     if len(params) != want:
         raise BadParamCount(f"{key} takes {want} parameter(s), got {len(params)}")
 
-    if key == "Legendre":
+    if key in ("Legendre", "Tchebychev"):
         lam = params[0]
-        p1 = _build_rational(Poly((0.0, 2.0)), -1.0, [1.0, -1.0])
-        p2 = _build_rational(Poly((lam * (lam + 1),)), -1.0, [1.0, -1.0])
-        named = {"lambda": lam}
-    elif key == "Tchebychev":
-        lam = params[0]
-        p1 = _build_rational(Poly((0.0, 1.0)), -1.0, [1.0, -1.0])
-        p2 = _build_rational(Poly((lam * lam,)), -1.0, [1.0, -1.0])
+        c, k = (2.0, lam * (lam + 1)) if key == "Legendre" else (1.0, lam * lam)
+        p1 = _build_rational(Poly((0.0, c)), -1.0, [1.0, -1.0])
+        p2 = _build_rational(Poly((k,)), -1.0, [1.0, -1.0])
         named = {"lambda": lam}
     elif key == "Heun":
         al, be, ga, de, ep, a, q = params
+        if abs(a) <= _match_tol(0.0) or abs(a - 1.0) <= _match_tol(1.0):
+            raise DuplicateXi(f"Heun pole a = {a} coincides with 0 or 1")
         num = (expand_poly([1.0, a]).scaled(ga)
                + expand_poly([0.0, a]).scaled(de)
                + expand_poly([0.0, 1.0]).scaled(ep))

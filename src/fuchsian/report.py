@@ -1,8 +1,9 @@
-"""Report documents and canonical serialization.
+"""Report documents, verification checks and canonical serialization.
 
 Every JSON document the CLI prints is built here: the uniformization
 report, the tessellation document and the ODE document of `ode build` and
-`ode classify`.
+`ode classify`.  So are the check records `verify` prints
+(`verification_checks`), whose residuals share the one bound CHECK_TOL.
 
 Complex numbers serialize as [re, im] pairs, exact rationals as [num, den]
 integer pairs.  Floats are rounded to a configurable number of significant
@@ -24,11 +25,12 @@ from .hyperbolic import (
     regular_polygon_area,
     tessellation_topology,
 )
-from .moebius import is_infinity
+from .moebius import TransformClass, is_infinity
 from .uniformize import UniformizationResult, fixed_point_radius
 
 SCHEMA_VERSION = "1"
 DEFAULT_PRECISION = 7
+CHECK_TOL = 1e-9
 _INDENT = "  "
 
 
@@ -125,7 +127,7 @@ def _topology_entry(topo) -> dict:
 
 
 def uniformization_report(curve: CurveSpec, result: UniformizationResult, *,
-                          topology=None, genus_range=None) -> dict:
+                          topology=None) -> dict:
     """Assemble the full pipeline document (plain dicts, unrounded)."""
     params = result.params
     base = result.base_index
@@ -166,10 +168,42 @@ def uniformization_report(curve: CurveSpec, result: UniformizationResult, *,
     }
     if topology is not None:
         doc["topology"] = _topology_entry(topology)
-    if genus_range is not None:
-        doc["genus_range"] = {"g_min": genus_range.g_min,
-                              "g_max": genus_range.g_max}
     return doc
+
+
+def verification_checks(result: UniformizationResult) -> list:
+    """One (name, ok, detail) record per line `verify` prints, in that order.
+
+    Every residual is held to CHECK_TOL; the topology genus must equal the
+    curve's, and every non-identity generator must be hyperbolic.
+    """
+    p = result.params
+    rep = result.verification
+    rho = fixed_point_radius(p)
+    spread = max(abs(abs(z) - rho) for z in result.fixed_points)
+    spacing = 2.0 * math.pi * float(p.alpha)
+    gap_err = max(abs((t1 - t0) - spacing) for t0, t1 in zip(p.thetas, p.thetas[1:]))
+    topo = tessellation_topology(result.tessellation)
+    expected_area = 4.0 * math.pi * (p.genus - 1)
+    return [
+        ("side involutions", rep.side_involution_residual < CHECK_TOL,
+         f"residual {rep.side_involution_residual:.3e}"),
+        ("fixed-point radius", spread < CHECK_TOL,
+         f"rho {rho:.7f}, spread {spread:.3e}"),
+        ("fixed-point spacing", gap_err < CHECK_TOL,
+         f"2 pi alpha = {spacing:.7f}, error {gap_err:.3e}"),
+        ("topology genus", topo.genus == p.genus,
+         f"V={topo.V} E={topo.E} F={topo.F} chi={topo.chi} "
+         f"genus {topo.genus} vs curve {p.genus}"),
+        ("area identity", abs(result.area - expected_area) < CHECK_TOL,
+         f"area {result.area:.7f} vs 4 pi (g-1) = {expected_area:.7f}"),
+        ("generators hyperbolic",
+         all(c is TransformClass.HYPERBOLIC
+             for r, c in zip(result.generator_labels, rep.classes)
+             if r not in rep.identity_indices),
+         ", ".join(str(c) for c in rep.classes)),
+    ] + [(f"relation {name}", residual < CHECK_TOL, f"residual {residual:.3e}")
+         for name, residual in sorted(rep.relation_residuals.items())]
 
 
 def tessellation_report(tess: Tessellation) -> dict:

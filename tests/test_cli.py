@@ -10,7 +10,7 @@ import pytest
 import fuchsian
 from fuchsian.cli import run
 from fuchsian.curves import curve_from_degree
-from fuchsian.report import canonical_json
+from fuchsian.report import canonical_json, verification_checks
 from fuchsian.uniformize import uniformize
 
 from helpers import golden_matrices
@@ -184,6 +184,35 @@ def test_root_finding_overflow_is_a_domain_error():
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["Tchebychev", "1e200"],
+    ["Tchebychev", "1.2526e154,0.5188e154"],  # finite, modulus past the float range
+    ["Legendre", "1e308"],
+    ["Hypergeometric", "1e200", "1e200", "1"],
+])
+def test_overflowed_coefficient_is_a_domain_error(capsys, argv):
+    # an overflowed coefficient must not become the trim scale and zero the rest
+    rc, out, err = invoke(capsys, "ode", "classify", "--named", argv[0],
+                          "--params", *argv[1:])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: coefficient overflow") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("a", ["0", "1"])
+def test_heun_pole_merging_into_0_or_1_is_a_domain_error(capsys, a):
+    rc, out, err = invoke(capsys, "ode", "classify", "--named", "Heun",
+                          "--params", "1", "2", "3", "4", "5", a, "1")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: Heun pole a = ") and err.count("\n") == 1
+
+
+def test_uniformize_genus_range_option_is_gone(capsys):
+    rc, out, err = invoke(capsys, "uniformize", "--degree", "5",
+                          "--genus-range", "2,8")
+    assert (rc, out) == (2, "")
+    assert err == "error: unrecognized arguments: --genus-range 2,8\n"
+
+
 def test_tessellation_by_degree(capsys):
     rc, out, _ = invoke(capsys, "tessellation", "--degree", "7")
     doc = json.loads(out)
@@ -275,6 +304,18 @@ def test_verify_degree8_warns_but_passes(capsys):
     assert "projective identity: S1S5" in out
     assert out.count("duplicate pair") == 3
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("degree", [5, 6, 7, 8, 10])
+def test_verify_renders_the_report_checks(capsys, degree):
+    rc, out, _ = invoke(capsys, "verify", "--degree", str(degree))
+    checks = verification_checks(uniformize(curve_from_degree(degree)))
+    lines = out.splitlines()
+    assert lines[:len(checks)] == [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}"
+                                   for name, ok, detail in checks]
+    assert lines[len(checks):] == [] or lines[len(checks)] == (
+        "warning: degenerate generator set")
+    assert rc == (0 if all(ok for _, ok, _ in checks) else 1)
 
 
 def test_verify_bad_degree(capsys):

@@ -157,6 +157,14 @@ def test_poly_trimmed():
     assert t.coeffs[0] == 1.0 and t.coeffs[2] == 2.0
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                 complex(0.0, math.inf), 1.5e308 + 1.5e308j])
+def test_poly_trimmed_rejects_overflowed_coefficients(bad):
+    # an infinite scale would zero every coefficient
+    with pytest.raises(ValueError, match="coefficient overflow"):
+        Poly((1.0, bad, 2.0)).trimmed()
+
+
 def test_curve_spec_is_frozen():
     c = curve_from_degree(5)
     with pytest.raises(AttributeError):

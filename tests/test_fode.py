@@ -135,6 +135,14 @@ def test_heun():
     assert is_fuchsian(ode)
 
 
+@pytest.mark.parametrize("a", [0.0, 1.0, 1e-12, 1.0 + 1e-12j])
+def test_heun_third_pole_must_differ_from_0_and_1(a):
+    # a merged pole would leave a three-point equation labelled Heun
+    with pytest.raises(DuplicateXi):
+        named_equation("Heun", [1.0, 2.0, 3.0, 4.0, 5.0, a, 1.0])
+    named_equation("Heun", [1.0, 2.0, 3.0, 4.0, 5.0, a + 1e-3, 1.0])
+
+
 def test_whittaker_hypergeometric():
     # 25x(x-1) y'' + 20(2x-1) y' + 2 y = 0
     ode = named_equation("WhittakerHypergeometric")

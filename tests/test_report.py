@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -7,8 +8,13 @@ import pytest
 from fuchsian import cli
 from fuchsian.curves import curve_from_degree
 from fuchsian.hyperbolic import Tessellation, tessellation_topology
-from fuchsian.embed import genus_range
-from fuchsian.report import canonical_json, round_sig, uniformization_report
+from fuchsian.report import (
+    CHECK_TOL,
+    canonical_json,
+    round_sig,
+    uniformization_report,
+    verification_checks,
+)
 from fuchsian.uniformize import uniformize
 
 
@@ -73,7 +79,6 @@ def test_uniformization_report_contents():
     doc = uniformization_report(
         c, res,
         topology=tessellation_topology(Tessellation(8, 8)),
-        genus_range=genus_range(2, 8),
     )
     assert doc["curve"] == {"degree": 5, "sign": -1, "genus": 2, "parity": "odd"}
     assert doc["convention"] == "raw"
@@ -86,10 +91,32 @@ def test_uniformization_report_contents():
     assert doc["tessellation"] == {"p": 8, "q": 8}
     assert abs(doc["area"] - 4 * math.pi) < 1e-9
     assert doc["topology"]["genus"] == 2
-    assert doc["genus_range"] == {"g_min": 0, "g_max": 3}
     assert doc["verification"]["all_sides_involutive"] is True
     assert doc["verification"]["classes"] == ["Hyperbolic"] * 4
     assert "gamma8" in doc["verification"]["relation_residuals"]
+
+
+def test_verification_checks_records():
+    res = uniformize(curve_from_degree(5))
+    checks = verification_checks(res)
+    assert [name for name, _, _ in checks] == [
+        "side involutions", "fixed-point radius", "fixed-point spacing",
+        "topology genus", "area identity", "generators hyperbolic",
+        "relation gamma8"]
+    assert all(ok is True for _, ok, _ in checks)
+    assert checks[3][2] == "V=1 E=4 F=1 chi=-2 genus 2 vs curve 2"
+    assert checks[5][2] == "Hyperbolic, Hyperbolic, Hyperbolic, Hyperbolic"
+    assert CHECK_TOL == 1e-9
+
+
+def test_verification_checks_hold_every_residual_to_check_tol():
+    res = uniformize(curve_from_degree(7))
+    for residual, passes in ((CHECK_TOL / 2, True), (CHECK_TOL, False)):
+        moved = dataclasses.replace(res.verification, side_involution_residual=residual,
+                                    relation_residuals={"gamma12": residual})
+        ok = {name: ok for name, ok, _ in verification_checks(
+            dataclasses.replace(res, verification=moved))}
+        assert ok["side involutions"] is ok["relation gamma12"] is passes
 
 
 def test_report_normalized_convention():
@@ -109,8 +136,7 @@ def test_canonical_json_matches_oracle_on_every_report():
                 for normalized in (False, True):
                     res = uniformize(curve, normalize_output=normalized, base=base)
                     doc = uniformization_report(
-                        curve, res, topology=tessellation_topology(res.tessellation),
-                        genus_range=genus_range(2, n))
+                        curve, res, topology=tessellation_topology(res.tessellation))
                     assert canonical_json(doc) == oracle_json(doc)
 
 
@@ -124,7 +150,7 @@ def test_canonical_json_matches_oracle_on_every_report():
     ["ode", "classify", "--named", "Heun", "--params",
      "1", "2", "3", "4", "5", "2,1", "0.5", "--precision", "15"],
     ["ode", "classify", "--named", "legendre", "--params", "2"],
-    ["uniformize", "--degree", "8", "--normalize", "--genus-range", "3,4"],
+    ["uniformize", "--degree", "8", "--normalize"],
 ])
 def test_canonical_json_matches_oracle_on_cli_documents(monkeypatch, capsys, argv):
     docs = []  # what the CLI hands to canonical_json
