@@ -81,12 +81,13 @@ def _build_parser() -> _Parser:
     p_uni = sub.add_parser("uniformize", help="side pairings and generators")
     p_uni.add_argument("--degree", type=int, required=True)
     p_uni.add_argument("--sign", choices=("plus", "minus"), default="minus")
-    p_uni.add_argument("--base", type=int, default=1)
+    # None marks --base and --precision as not given, which --format svg needs
+    p_uni.add_argument("--base", type=int)
     p_uni.add_argument("--normalize", action="store_true",
                        help="emit det-1 generators instead of raw products")
     p_uni.add_argument("--format", choices=("json", "table", "svg"),
                        default="json")
-    p_uni.add_argument("--precision", type=_precision_arg, default=DEFAULT_PRECISION)
+    p_uni.add_argument("--precision", type=_precision_arg)
     p_uni.set_defaults(run=_cmd_uniformize)
 
     p_gr = sub.add_parser("genus-range", help="K_{m,n} embedding genus bounds")
@@ -164,15 +165,25 @@ def _uniformizable_curve(degree: int, sign: int = -1) -> curves.CurveSpec:
 
 
 def _cmd_uniformize(args) -> int:
+    if args.format == "svg":
+        # the figure draws neither generators nor numbers, so these would be lost
+        given = [opt for opt, passed in (("--normalize", args.normalize),
+                                         ("--base", args.base is not None),
+                                         ("--precision", args.precision is not None))
+                 if passed]
+        if given:
+            raise ValueError(f"--format svg takes no {', '.join(given)}")
     sign = -1 if args.sign == "minus" else 1
     curve = _uniformizable_curve(args.degree, sign)
-    result = uniformize(curve, normalize_output=args.normalize, base=args.base)
+    base = 1 if args.base is None else args.base
+    precision = DEFAULT_PRECISION if args.precision is None else args.precision
+    result = uniformize(curve, normalize_output=args.normalize, base=base)
     if args.format == "json":
         topology = hyperbolic.tessellation_topology(result.tessellation)
         doc = uniformization_report(curve, result, topology=topology)
-        print(canonical_json(doc, args.precision))
+        print(canonical_json(doc, precision))
     elif args.format == "table":
-        print("\n".join(_render_table(curve, result, args.precision)))
+        print("\n".join(_render_table(curve, result, precision)))
     else:
         print(_render_svg(curve, result))
     return 0

@@ -177,8 +177,15 @@ class Poly:
 
 
 def expand_poly(roots) -> Poly:
-    """Monic product of (z - r) over the root list; empty list gives 1."""
-    out = Poly.one()
+    """Monic product of (z - r) over the root list; empty list gives 1.
+
+    Multiplies by each factor in place, highest coefficient first, so one
+    list holds the product until the end."""
+    out = [1 + 0j]
     for r in roots:
-        out = out * Poly((-complex(r), 1.0))
-    return out
+        nr = -complex(r)
+        out.append(out[-1])
+        for k in range(len(out) - 2, 0, -1):
+            out[k] = out[k - 1] + out[k] * nr
+        out[0] *= nr
+    return Poly(tuple(out))

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 # RootFindingFailure is raised by Poly.roots and re-exported here
 from .curves import CurveSpec, DegreeTooSmall, Poly, RootFindingFailure, expand_poly
@@ -122,8 +123,8 @@ def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
     num_roots = list(num.roots())
     remaining_den = []
     for s in den_roots:
-        hit = next((i for i, r in enumerate(num_roots)
-                    if abs(r - s) <= _match_tol(s)), None)
+        tol = _match_tol(s)
+        hit = next((i for i, r in enumerate(num_roots) if abs(r - s) <= tol), None)
         if hit is None:
             remaining_den.append(s)
         else:
@@ -165,6 +166,18 @@ class SecondOrderODE:
     p1: RationalFn
     p2: RationalFn
     params: dict = field(default_factory=dict)
+
+    @cached_property
+    def _classified_points(self) -> tuple:
+        """Finite poles of p1 and p2 (deduplicated, sorted) plus infinity,
+        classified on first use and kept: the equation is immutable."""
+        finite = []  # (pole, its match tolerance)
+        for r in self.p1.den_roots + self.p2.den_roots:
+            if not any(abs(r - f) <= tol for f, tol in finite):
+                finite.append((r, _match_tol(r)))
+        finite.sort(key=lambda ft: (round(ft[0].real, 9), round(ft[0].imag, 9)))
+        return (*(classify_point(self, z) for z, _ in finite),
+                classify_point(self, INFINITY))
 
 
 def build_fuchsian(xis, A, B, C, K1: complex = 0j, K2: complex = 0j) -> SecondOrderODE:
@@ -374,19 +387,13 @@ def classify_point(ode: SecondOrderODE, pt) -> PointClass:
     return PointClass(pt, _kind(ode.p1.pole_order(pt), ode.p2.pole_order(pt)))
 
 
-def singular_points(ode: SecondOrderODE):
-    """Finite poles of p1 and p2 (deduplicated) plus infinity, classified."""
-    finite = []
-    for r in ode.p1.den_roots + ode.p2.den_roots:
-        if not any(abs(r - f) <= _match_tol(f) for f in finite):
-            finite.append(r)
-    finite.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    out = [classify_point(ode, z) for z in finite]
-    out.append(classify_point(ode, INFINITY))
-    return out
+def singular_points(ode: SecondOrderODE) -> list:
+    """Finite poles of p1 and p2 (deduplicated) plus infinity, classified.
+    A new list each call; the classification is cached on the equation."""
+    return list(ode._classified_points)
 
 
 def is_fuchsian(ode: SecondOrderODE) -> bool:
     """True iff no singular point (including infinity) is irregular."""
     return all(pc.kind is not PointKind.IRREGULAR_SINGULAR
-               for pc in singular_points(ode))
+               for pc in ode._classified_points)

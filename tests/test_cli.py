@@ -103,6 +103,29 @@ def test_uniformize_svg_format(capsys):
     assert out.count('class="fixed-point"') == 7
 
 
+@pytest.mark.parametrize("options, named", [
+    (("--normalize",), "--normalize"),
+    (("--base", "3"), "--base"),
+    (("--base", "1"), "--base"),
+    (("--precision", "3"), "--precision"),
+    (("--precision", "3", "--normalize", "--base", "3"),
+     "--normalize, --base, --precision"),
+])
+def test_uniformize_svg_refuses_options_it_cannot_show(capsys, options, named):
+    rc, out, err = invoke(capsys, "uniformize", "--degree", "5", "--format", "svg",
+                          *options)
+    assert (rc, out) == (2, "")
+    assert err == f"error: --format svg takes no {named}\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_uniformize_base_and_precision_defaults(capsys, fmt):
+    _, plain, _ = invoke(capsys, "uniformize", "--degree", "5", "--format", fmt)
+    rc, explicit, _ = invoke(capsys, "uniformize", "--degree", "5", "--format", fmt,
+                             "--base", "1", "--precision", "7")
+    assert rc == 0 and explicit == plain
+
+
 def test_uniformize_base_and_sign(capsys):
     rc, out, _ = invoke(capsys, "uniformize", "--degree", "5", "--base", "3",
                         "--sign", "plus")

@@ -6,13 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fuchsian import curves
+from fuchsian import curves, fode, report
 from fuchsian.curves import DegreeTooSmall, Poly, curve_from_degree, expand_poly
 from fuchsian.fode import (
     ZERO_RATIONAL,
     BadParamCount,
     ConstraintViolated,
     DuplicateXi,
+    PointClass,
     PointKind,
     RationalFn,
     RepeatedRoots,
@@ -300,6 +301,54 @@ def test_singular_points_sorted_and_deduplicated():
     locs = finite_locations(ode)
     assert locs == sorted(locs)
     assert len(locs) == len(set(locs))
+
+
+def test_singular_points_returns_a_new_list_each_call():
+    ode = named_equation("Heun", [1.0, 1.0, 1.0, 1.0, 1.0, -2.0, 0.0])
+    first, second = singular_points(ode), singular_points(ode)
+    assert first == second and first is not second
+    first.append(PointClass(INFINITY, PointKind.IRREGULAR_SINGULAR))
+    assert singular_points(ode) == second
+    assert is_fuchsian(ode)
+
+
+# a Whittaker, a Heun and an irregular curve equation, with their verdicts
+# and numbers of finite singular points
+CACHED_CASES = {
+    "whittaker": (lambda: whittaker_equation(expand_poly(curves.integer_roots(5))),
+                  True, 5),
+    "heun": (lambda: named_equation("Heun", [1, 2, 3, 4, 5, 2 + 1j, 0.5]), True, 3),
+    "irregular-curve": (lambda: curve_ode(curve_from_degree(7), 0.5 + 0.25j),
+                        False, 1),
+}
+
+
+@pytest.mark.parametrize("case", CACHED_CASES)
+def test_cached_classification_matches_a_fresh_equation(case):
+    make, fuchsian, _ = CACHED_CASES[case]
+    ode = make()
+    cached = singular_points(ode)
+    assert is_fuchsian(ode) is fuchsian
+    fresh = dataclasses.replace(ode)
+    assert singular_points(fresh) == cached
+    assert is_fuchsian(fresh) is fuchsian
+
+
+@pytest.mark.parametrize("case", CACHED_CASES)
+def test_ode_report_classifies_each_point_once(monkeypatch, case):
+    make, _, finite = CACHED_CASES[case]
+    ode = make()
+    calls = []
+    classify = fode.classify_point
+
+    def counted(ode, pt):
+        calls.append(pt)
+        return classify(ode, pt)
+
+    monkeypatch.setattr(fode, "classify_point", counted)
+    doc = report.ode_report(ode)
+    assert len(doc["singular_points"]) == finite + 1
+    assert len(calls) == finite + 1
 
 
 def test_classify_ordinary_point():

@@ -1,4 +1,5 @@
-"""Property tests: canonical JSON, half-turns, geodesic midpoints, genus bounds."""
+"""Property tests: canonical JSON, half-turns, geodesic midpoints, genus bounds,
+polynomial expansion."""
 
 import cmath
 import json
@@ -9,6 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
+from fuchsian.curves import Poly, expand_poly
 from fuchsian.embed import genus_range
 from fuchsian.hyperbolic import ModelPoint, distance, geodesic_midpoint, half_turn
 from fuchsian.moebius import apply, compose, is_projectively_identity
@@ -26,6 +28,11 @@ DOCUMENTS = st.recursive(
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
     max_leaves=10)
+
+# finite roots of modulus up to 10
+ROOTS = st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
+                                    allow_infinity=False) | st.integers(-10, 10),
+                 max_size=12)
 
 # points of the disk within hyperbolic distance 2 atanh(0.99), about 5.3,
 # of the origin; the paper's fixed points sit at radius 0.3 to 0.6
@@ -64,3 +71,16 @@ def test_genus_range_is_symmetric_and_ordered(m, n):
     r = genus_range(m, n)
     assert r == genus_range(n, m)
     assert r.g_min <= r.g_max
+
+
+@PROPERTY
+@given(ROOTS)
+def test_expand_poly_equals_the_repeated_product(roots):
+    reference = Poly.one()
+    for r in roots:
+        reference = reference * Poly((-complex(r), 1.0))
+    assert expand_poly(roots) == reference
+
+
+def test_expand_poly_of_no_roots_is_one():
+    assert expand_poly([]) == Poly.one()
