@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 
 # RootFindingFailure is raised by Poly.roots and re-exported here
-from .curves import CurveSpec, DegreeTooSmall, Poly, RootFindingFailure, expand_poly
+from .curves import (
+    COEFF_TRIM_TOL, CurveSpec, DegreeTooSmall, Poly, RootFindingFailure, expand_poly)
 from .moebius import INFINITY, is_infinity
 
 # root clustering radius for cancellation / multiplicity counting
@@ -102,13 +103,12 @@ class RationalFn:
         return acc
 
     def pole_order(self, point: complex) -> int:
-        """Multiplicity of point among denominator roots minus numerator roots."""
+        """Multiplicity of point among the denominator roots, which hold no
+        root that cancels against the numerator."""
         if self.is_zero:
             return 0
         tol = _match_tol(point)
-        d = sum(1 for r in self.den_roots if abs(r - point) <= tol)
-        n = sum(1 for r in self.num_roots if abs(r - point) <= tol)
-        return max(0, d - n)
+        return sum(1 for r in self.den_roots if abs(r - point) <= tol)
 
 
 def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
@@ -125,7 +125,10 @@ def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
     for s in den_roots:
         tol = _match_tol(s)
         hit = next((i for i, r in enumerate(num_roots) if abs(r - s) <= tol), None)
-        if hit is None:
+        # a root that matches but leaves num(s) above the trim noise is a pole
+        # with a small residue, not a cancellation
+        if hit is None or abs(num(s)) > (COEFF_TRIM_TOL * max(map(abs, num.coeffs))
+                                         * max(1.0, abs(s)) ** num.degree):
             remaining_den.append(s)
         else:
             num_roots.pop(hit)
@@ -288,12 +291,18 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
     return SecondOrderODE(p1, p2, params={"name": key, **named})
 
 
+def _top_trimmed(p: Poly) -> Poly:
+    """p without the high-order coefficients that trimmed() calls noise; the
+    small low-order ones stay, since they place roots near 0."""
+    return Poly(p.coeffs[:p.trimmed().degree + 1])
+
+
 def whittaker_equation(f: Poly) -> SecondOrderODE:
     """y'' + (3/16) [ (f'/f)^2 - ((2g+2)/(2g+1)) f''/f ] y = 0.
 
     g is inferred from deg f (ceil(deg/2) - 1); f must have distinct roots.
     """
-    f = f.trimmed()
+    f = _top_trimmed(f)
     n = f.degree
     if n < 5:
         raise DegreeTooSmall(f"deg f = {n} < 5")
@@ -306,9 +315,12 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
     ratio = Fraction(2 * g + 2, 2 * g + 1)
     fp = f.derivative()
     fpp = fp.derivative()
-    num = ((fp * fp) - (fpp * f).scaled(float(ratio))).scaled(3.0 / 16.0)
+    # N = (3/16)(f'^2 - ratio f'' f); its top coefficient cancels for even n
+    num = _top_trimmed(((fp * fp) - (fpp * f).scaled(float(ratio))).scaled(3.0 / 16.0))
+    # N(r) = (3/16) f'(r)^2 != 0 at each simple root r of f: nothing cancels
     lead = f.coeffs[-1]
-    p2 = _build_rational(num, lead * lead, [r for r in roots for _ in range(2)])
+    p2 = RationalFn(num.coeffs[-1], lead * lead, num.roots(),
+                    tuple(r for r in roots for _ in range(2)))
     return SecondOrderODE(ZERO_RATIONAL, p2,
                           params={"genus": g, "coefficient_ratio": ratio})
 

@@ -14,6 +14,7 @@ output and re-serializing it reproduces the bytes exactly.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -32,6 +33,12 @@ SCHEMA_VERSION = "1"
 DEFAULT_PRECISION = 7
 CHECK_TOL = 1e-9
 _INDENT = "  "
+# Formats of at most DBL_DIG = 15 significant digits.  For a normal float x no
+# shorter decimal than format(x, spec) parses to the same double, so that text
+# is already repr(round_sig(x)) unless the layouts differ: repr writes "3.0"
+# for "3" and "12300.0" for "1.23e+04"
+_DIRECT_SPECS = frozenset(f".{p}g" for p in range(1, sys.float_info.dig + 1))
+_MIN_NORMAL = sys.float_info.min
 
 
 def round_sig(x: float, precision: int = DEFAULT_PRECISION) -> float:
@@ -41,8 +48,13 @@ def round_sig(x: float, precision: int = DEFAULT_PRECISION) -> float:
     return float(f"{x:.{precision}g}")
 
 
-def _float_text(x: float, precision: int) -> str:
-    x = round_sig(x, precision)
+def _float_text(x: float, spec: str) -> str:
+    """JSON text of round_sig(x, precision), given spec = f".{precision}g"."""
+    text = format(x, spec)
+    if (abs(x) >= _MIN_NORMAL and "e+" not in text and ("." in text or "e" in text)
+            and spec in _DIRECT_SPECS):
+        return text
+    x = float(text) if x else 0.0  # round_sig
     if x != x:
         return "NaN"
     if x == math.inf:
@@ -52,7 +64,7 @@ def _float_text(x: float, precision: int) -> str:
     return float.__repr__(x)
 
 
-def _encode_items(items, precision: int, newline: str, out: list) -> None:
+def _encode_items(items, spec: str, newline: str, out: list) -> None:
     if not items:
         out.append("[]")
         return
@@ -60,23 +72,23 @@ def _encode_items(items, precision: int, newline: str, out: list) -> None:
     sep = "[" + inner
     for item in items:
         out.append(sep)
-        _encode(item, precision, inner, out)
+        _encode(item, spec, inner, out)
         sep = "," + inner
     out.append(newline + "]")
 
 
-def _encode(obj, precision: int, newline: str, out: list) -> None:
+def _encode(obj, spec: str, newline: str, out: list) -> None:
     """Append the JSON text of obj; newline is a line break plus the current indent."""
     # bool is tested before int; the other branches are disjoint types,
     # ordered by how often reports hold them
     if isinstance(obj, float):
-        out.append(_float_text(obj, precision))
+        out.append(_float_text(obj, spec))
     elif isinstance(obj, complex):
         inner = newline + _INDENT
-        out.append(f"[{inner}{_float_text(obj.real, precision)},"
-                   f"{inner}{_float_text(obj.imag, precision)}{newline}]")
+        out.append(f"[{inner}{_float_text(obj.real, spec)},"
+                   f"{inner}{_float_text(obj.imag, spec)}{newline}]")
     elif isinstance(obj, (list, tuple)):
-        _encode_items(obj, precision, newline, out)
+        _encode_items(obj, spec, newline, out)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -89,7 +101,7 @@ def _encode(obj, precision: int, newline: str, out: list) -> None:
             out.append(sep)
             out.append(encode_basestring_ascii(key))
             out.append(": ")
-            _encode(doc[key], precision, inner, out)
+            _encode(doc[key], spec, inner, out)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(obj, str):
@@ -103,7 +115,7 @@ def _encode(obj, precision: int, newline: str, out: list) -> None:
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, Fraction):
-        _encode_items((obj.numerator, obj.denominator), precision, newline, out)
+        _encode_items((obj.numerator, obj.denominator), spec, newline, out)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -117,7 +129,7 @@ def canonical_json(obj, precision: int = DEFAULT_PRECISION) -> str:
     the pure-Python encoder an indent selects.
     """
     out = []
-    _encode(obj, precision, "\n", out)
+    _encode(obj, f".{precision}g", "\n", out)
     return "".join(out)
 
 

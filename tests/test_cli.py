@@ -291,6 +291,19 @@ def test_ode_classify_named(capsys):
                      "infinity": "RegularSingular"}
 
 
+def test_ode_classify_keeps_a_pole_with_a_small_residue(capsys):
+    # p1 = (1e-11 - 2z)/(z(1-z)): residue 1e-11 at 0, above the 2e-12 trim bound
+    rc, out, _ = invoke(capsys, "ode", "classify", "--named", "Hypergeometric",
+                        "--params", "0", "1", "1e-11")
+    doc = json.loads(out)
+    assert rc == 0
+    kinds = {str(p["location"]): p["kind"] for p in doc["singular_points"]}
+    assert kinds == {"[0.0, 0.0]": "RegularSingular",
+                     "[1.0, 0.0]": "RegularSingular",
+                     "infinity": "Ordinary"}
+    assert doc["p1"]["numerator"] == [[1e-11, 0.0], [-2.0, 0.0]]
+
+
 def test_ode_classify_unknown_name(capsys):
     rc, _, err = invoke(capsys, "ode", "classify", "--named", "bessel")
     assert rc == 2 and "bessel" in err

@@ -207,6 +207,20 @@ def test_whittaker_pole_structure():
     assert ode.p1.is_zero
 
 
+@pytest.mark.parametrize("f", [
+    expand_poly([0, 1e-3, 2e-3, 3e-3, 4e-3]),  # p2 numerator terms 1e-22..6e-16
+    Poly((-1e-14, 0, 0, 0, 0, 0, 0, 1)),  # roots of unity of radius 0.01
+], ids=["clustered-at-0", "radius-0.01"])
+def test_whittaker_keeps_a_double_pole_at_every_small_root(f):
+    ode = whittaker_equation(f)
+    roots = f.roots()
+    assert len(singular_points(ode)) == len(roots) + 1
+    for r in roots:
+        assert ode.p2.pole_order(r) == 2
+        assert classify_point(ode, r).kind is PointKind.REGULAR_SINGULAR
+    assert is_fuchsian(ode)
+
+
 def test_whittaker_degrees_and_errors():
     assert whittaker_equation(expand_poly([0, 1, 2, 3, 4, 5])).params["genus"] == 2
     assert whittaker_equation(expand_poly([0, 1, 2, 3, 4, 5, 6])).params["genus"] == 3

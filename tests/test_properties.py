@@ -16,6 +16,8 @@ from fuchsian.hyperbolic import ModelPoint, distance, geodesic_midpoint, half_tu
 from fuchsian.moebius import apply, compose, is_projectively_identity
 from fuchsian.report import canonical_json
 
+from helpers import oracle_json
+
 PROPERTY = settings(max_examples=200, deadline=None)
 
 SPECIAL_FLOATS = st.sampled_from(
@@ -46,6 +48,12 @@ DISK_POINTS = st.builds(
 def test_canonical_json_round_trips(doc, precision):
     text = canonical_json(doc, precision)
     assert canonical_json(json.loads(text), precision) == text
+
+
+@PROPERTY
+@given(st.floats() | SPECIAL_FLOATS | st.floats(-1e-300, 1e-300), st.integers(1, 17))
+def test_canonical_json_prints_every_float_as_the_oracle(x, precision):
+    assert canonical_json(x, precision) == oracle_json(x, precision)
 
 
 @PROPERTY

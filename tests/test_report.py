@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import sys
+from collections import OrderedDict, namedtuple
+from enum import Enum, IntEnum
 from fractions import Fraction
 
 import pytest
@@ -17,26 +20,7 @@ from fuchsian.report import (
 )
 from fuchsian.uniformize import uniformize
 
-
-def _walk(obj, precision):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, complex):
-        return [round_sig(obj.real, precision), round_sig(obj.imag, precision)]
-    if isinstance(obj, float):
-        return round_sig(obj, precision)
-    if isinstance(obj, Fraction):
-        return [obj.numerator, obj.denominator]
-    if isinstance(obj, dict):
-        return {str(k): _walk(v, precision) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_walk(v, precision) for v in obj]
-    return obj
-
-
-def oracle_json(obj, precision=7):
-    """Reference for canonical_json: a rounded copy through the stdlib encoder."""
-    return json.dumps(_walk(obj, precision), sort_keys=True, indent=2)
+from helpers import oracle_json
 
 
 def test_round_sig():
@@ -167,6 +151,21 @@ def test_canonical_json_matches_oracle_on_cli_documents(monkeypatch, capsys, arg
     assert canonical_json(doc, precision) == oracle_json(doc, precision)
 
 
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Tag(str, Enum):
+    A = "a"
+
+
+class _Float(float):
+    pass
+
+
+_Pair = namedtuple("_Pair", "re im")
+
 EDGE_DOC = {
     "empty_dict": {},
     "empty_list": [],
@@ -182,14 +181,23 @@ EDGE_DOC = {
     (1, 2): "tuple key",
     None: "none key",
     "pi": math.pi,
+    # subnormal, or rounded to a subnormal at precision 1: the .Ng text is not the repr
+    "tiny": [5e-324, -1e-310, 7.1195e-320, sys.float_info.min, -sys.float_info.min],
+    # round up to a power of ten: 1e+07 (printed as the repr) and 0.0001
+    "round_up": [9.9999995e6, 0.000099999995, -9.9999995e6],
+    # integer-valued: the .Ng text lacks the ".0" or has an "e+" exponent
+    "integral": [3.0, -3.0, 1e15, 1e16, 123456.0],
+    "subclasses": [_Level.LOW, _Float(0.1), _Tag.A, _Pair(_Float(1e-7), _Level.HIGH),
+                   OrderedDict([("b", _Float(2.5)), ("a", 0.1)])],
+    _Tag.A: "str enum key",
 }
 
 
-@pytest.mark.parametrize("precision", [3, 7, 15])
+@pytest.mark.parametrize("precision", [1, 3, 7, 15, 16, 17])
 def test_canonical_json_matches_oracle_on_edge_values(precision):
     assert canonical_json(EDGE_DOC, precision) == oracle_json(EDGE_DOC, precision)
     for leaf in ([], {}, (), "", "ü", None, True, 7, -0.0, math.nan, 2 - 1j,
-                 Fraction(1, 3)):
+                 Fraction(1, 3), 0.1, 5e-324, _Float(1 / 3), _Level.HIGH):
         assert canonical_json(leaf, precision) == oracle_json(leaf, precision)
 
 
