@@ -4,13 +4,14 @@ Construction from singularity data, a catalog of classical named equations,
 the Whittaker normal-form equation built from a polynomial f, and
 regular-singular-point classification on the extended plane.
 
-Rational functions are kept in factored form only (leading coefficient plus
-root list), so pole orders are exact multiplicity counts even for double
-poles; the expanded numerator and denominator are derived on demand.
+A rational function keeps its numerator expanded and its denominator factored
+(leading coefficient plus root list), so pole orders are exact multiplicity
+counts; numerator roots are found only when a pole might cancel.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -69,19 +70,14 @@ def _match_tol(z: complex) -> float:
 class RationalFn:
     """num/den with common roots cancelled at construction.
 
-    lead * prod(z - r) over num_roots gives the numerator (same for the
-    denominator).  Only this factored form is stored; num and den derive the
-    expanded polynomials on demand for display.
+    num is the expanded numerator; den_lead * prod(z - r) over den_roots is
+    the denominator, stored factored so that a double pole is two equal
+    roots.  den expands it for display.
     """
 
-    num_lead: complex
+    num: Poly
     den_lead: complex
-    num_roots: tuple
     den_roots: tuple
-
-    @property
-    def num(self) -> Poly:
-        return expand_poly(self.num_roots).scaled(self.num_lead).trimmed()
 
     @property
     def den(self) -> Poly:
@@ -89,15 +85,12 @@ class RationalFn:
 
     @property
     def is_zero(self) -> bool:
-        return self.num_lead == 0
+        return self.num.is_zero
 
     def __call__(self, z: complex) -> complex:
-        # factored evaluation: stable, no expansion noise
         if self.is_zero:
             return 0j
-        acc = complex(self.num_lead) / complex(self.den_lead)
-        for r in self.num_roots:
-            acc *= z - r
+        acc = self.num(z) / complex(self.den_lead)
         for r in self.den_roots:
             acc /= z - r
         return acc
@@ -119,7 +112,13 @@ def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
         return ZERO_RATIONAL
-    num_lead = num.coeffs[-1]
+    scale = COEFF_TRIM_TOL * max(map(abs, num.coeffs))
+    noise = lambda s: scale * max(1.0, abs(s)) ** num.degree  # noqa: E731
+    try:  # |num(s)| above the noise at every pole: no cancellation, no roots
+        if all(cmath.isfinite(v := num(s)) and abs(v) > noise(s) for s in den_roots):
+            return RationalFn(num, complex(den_lead), tuple(den_roots))
+    except OverflowError:  # like a non-finite num(s), left to the root finder
+        pass
     num_roots = list(num.roots())
     remaining_den = []
     for s in den_roots:
@@ -127,24 +126,25 @@ def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
         hit = next((i for i, r in enumerate(num_roots) if abs(r - s) <= tol), None)
         # a root that matches but leaves num(s) above the trim noise is a pole
         # with a small residue, not a cancellation
-        if hit is None or abs(num(s)) > (COEFF_TRIM_TOL * max(map(abs, num.coeffs))
-                                         * max(1.0, abs(s)) ** num.degree):
+        if hit is None or abs(num(s)) > noise(s):
             remaining_den.append(s)
         else:
             num_roots.pop(hit)
-    return RationalFn(num_lead, complex(den_lead), tuple(num_roots),
-                      tuple(remaining_den))
+    if len(remaining_den) < len(den_roots):
+        num = expand_poly(num_roots).scaled(num.coeffs[-1])
+    return RationalFn(num, complex(den_lead), tuple(remaining_den))
 
 
 def rational_fn(num: Poly, den: Poly) -> RationalFn:
-    """General constructor from two polynomials; den roots found numerically."""
-    den = den.trimmed()
+    """General constructor; den roots found numerically, its small low-order
+    coefficients kept since they place roots near 0."""
+    den = _top_trimmed(den)
     if den.is_zero:
         raise ZeroDivisionError("zero denominator")
     return _build_rational(num, den.coeffs[-1], den.roots())
 
 
-ZERO_RATIONAL = RationalFn(0j, 1.0, (), ())
+ZERO_RATIONAL = RationalFn(Poly.zero(), 1.0, ())
 
 
 class PointKind(Enum):
@@ -319,8 +319,7 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
     num = _top_trimmed(((fp * fp) - (fpp * f).scaled(float(ratio))).scaled(3.0 / 16.0))
     # N(r) = (3/16) f'(r)^2 != 0 at each simple root r of f: nothing cancels
     lead = f.coeffs[-1]
-    p2 = RationalFn(num.coeffs[-1], lead * lead, num.roots(),
-                    tuple(r for r in roots for _ in range(2)))
+    p2 = RationalFn(num, lead * lead, tuple(r for r in roots for _ in range(2)))
     return SecondOrderODE(ZERO_RATIONAL, p2,
                           params={"genus": g, "coefficient_ratio": ratio})
 
@@ -363,17 +362,17 @@ def _infinity_pole_orders(ode: SecondOrderODE) -> tuple:
     if p2.is_zero:
         o2 = 0
     else:
-        e2 = len(p2.den_roots) - len(p2.num_roots) - 4
+        e2 = len(p2.den_roots) - p2.num.degree - 4
         o2 = max(0, -e2)
     if p1.is_zero:
         o1 = 1  # P1 = 2/w
     else:
-        e1 = len(p1.den_roots) - len(p1.num_roots) - 2
+        e1 = len(p1.den_roots) - p1.num.degree - 2
         if e1 >= 0:
             o1 = 1
         elif e1 == -1:
             # P1 = (2 D - N)/(w D); the pole cancels where 2D - N vanishes at 0
-            N = _one_sided(p1.num_roots, p1.num_lead)
+            N = Poly(p1.num.coeffs[::-1])  # w^deg num(1/w); Poly drops the top zeros
             D = _one_sided(p1.den_roots, p1.den_lead)
             h = (D.scaled(2.0) - N).trimmed()
             o1 = 1 if h.coeffs[0] != 0 else 0

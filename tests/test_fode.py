@@ -50,7 +50,7 @@ def test_rational_fn_pole_orders():
     assert f.pole_order(3.0) == 1
     assert f.pole_order(0.0) == 0
     # multiplicities live in the stored root list, not in re-factoring
-    g = RationalFn(1.0, 1.0, (), (1.0, 1.0))
+    g = RationalFn(Poly.one(), 1.0, (1.0, 1.0))
     assert g.pole_order(1.0) == 2
     assert g.pole_order(1.0 + 2e-10) == 2  # clustering absorbs query offset
 
@@ -74,9 +74,9 @@ def test_zero_rational():
     assert rational_fn(Poly.zero(), expand_poly([1.0])) is ZERO_RATIONAL
 
 
-def test_rational_fn_stores_only_the_factored_form():
+def test_rational_fn_stores_an_expanded_numerator():
     assert [f.name for f in dataclasses.fields(RationalFn)] == \
-        ["num_lead", "den_lead", "num_roots", "den_roots"]
+        ["num", "den_lead", "den_roots"]
     assert RootFindingFailure is curves.RootFindingFailure
 
 
@@ -241,17 +241,73 @@ def test_whittaker_fuchsian_on_unit_circle_roots():
         assert len(singular_points(ode)) == n + 1
 
 
-def test_classification_survives_common_factors():
+@pytest.fixture
+def root_calls(monkeypatch):
+    """The polynomials Poly.roots is called on, in call order."""
+    calls = []
+    roots = Poly.roots
+
+    def counted(self):
+        calls.append(self)
+        return roots(self)
+
+    monkeypatch.setattr(Poly, "roots", counted)
+    return calls
+
+
+def test_classification_survives_common_factors(root_calls):
     # multiplying num and den by the same polynomial re-reduces away
     base = named_equation("Legendre", [2.0])
     extra = expand_poly([5.0, -2.0 + 1.0j])
     inflated = SecondOrderODE(
         rational_fn(base.p1.num * extra, base.p1.den * extra),
         rational_fn(base.p2.num * extra, base.p2.den * extra))
+    # a pole that may cancel sends the numerator to the root finder
+    assert len(root_calls) == 4  # two denominators, two numerators
+    for rf in (inflated.p1, inflated.p2):
+        assert sorted(r.real for r in rf.den_roots) == pytest.approx([-1.0, 1.0])
     for z in (-1.0, 1.0, 0.3, 5.0, -2.0 + 1.0j):
         assert classify_point(inflated, z).kind is classify_point(base, z).kind
     assert classify_point(inflated, INFINITY).kind is \
         classify_point(base, INFINITY).kind
+
+
+def test_whittaker_finds_roots_once(root_calls):
+    ode = whittaker_equation(expand_poly(curves.integer_roots(8)))
+    singular_points(ode)
+    assert root_calls == [expand_poly(curves.integer_roots(8))]  # f, not N
+
+
+def test_named_and_curve_equations_find_no_roots(root_calls):
+    # no numerator vanishes at a pole, so no pole can cancel
+    for name, count in (("Legendre", 1), ("Tchebychev", 1), ("Heun", 7),
+                        ("Hypergeometric", 3), ("WhittakerHypergeometric", 0)):
+        params = [0.5 + 0.25j * k for k in range(count)]
+        ode = named_equation(name, params)
+        assert is_fuchsian(ode) and len(singular_points(ode)) == 3 + (name == "Heun")
+    for n, k1, k2 in ((5, 0j, 0j), (6, 0j, 0j), (7, 0.5 + 0.25j, 1j), (8, 2.0, 0j)):
+        ode = curve_ode(curve_from_degree(n), k1, k2)
+        assert is_fuchsian(ode) is (k1 == 0 and k2 == 0)
+    assert root_calls == []
+
+
+def test_whittaker_numerator_is_exact():
+    # (3/16)(f'^2 - (6/5) f'' f) for f = z^5 - 1 is (3/16)(z^8 + 24 z^3)
+    ode = whittaker_equation(Poly((-1.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
+    assert ode.p2.num.coeffs == (0, 0, 0, 4.5, 0, 0, 0, 0, 0.1875)
+
+
+@pytest.mark.parametrize("build", [
+    # num(-1) = 0 sits within the trim noise, so the root finder runs
+    lambda: curve_ode(curve_from_degree(5), 1e308 + 1e308j),
+    # num(1) overflows to inf, which sends it to the root finder too
+    lambda: named_equation("Hypergeometric", [-1e308 - 1e308j, 0, 1e308 + 1e308j]),
+    # num(1) is finite but |num(1)| is past the float range
+    lambda: named_equation("Hypergeometric", [0, -1e306 - 1e306j, 1.27e308 + 1.27e308j]),
+], ids=["curve_ode", "hypergeometric-inf", "hypergeometric-modulus"])
+def test_coefficient_ratio_overflow_is_a_root_finding_failure(build):
+    with pytest.raises(RootFindingFailure):
+        build()
 
 
 def test_curve_ode_all_degrees():

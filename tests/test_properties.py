@@ -1,5 +1,5 @@
 """Property tests: canonical JSON, half-turns, geodesic midpoints, genus bounds,
-polynomial expansion."""
+polynomial expansion, rational-function cancellation."""
 
 import cmath
 import json
@@ -8,10 +8,11 @@ import math
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fuchsian.curves import Poly, expand_poly
 from fuchsian.embed import genus_range
+from fuchsian.fode import rational_fn
 from fuchsian.hyperbolic import ModelPoint, distance, geodesic_midpoint, half_turn
 from fuchsian.moebius import apply, compose, is_projectively_identity
 from fuchsian.report import canonical_json
@@ -35,6 +36,16 @@ DOCUMENTS = st.recursive(
 ROOTS = st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
                                     allow_infinity=False) | st.integers(-10, 10),
                  max_size=12)
+
+# up to 6 roots on distinct cells of a 0.75-spaced 5x5 grid, each moved by at
+# most 0.1, so any two are at least 0.55 apart; each is tagged for the
+# numerator only (A), the denominator only (B) or both (C)
+TAGGED_ROOTS = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+              st.floats(-0.1, 0.1), st.floats(-0.1, 0.1), st.sampled_from("ABC")),
+    unique_by=lambda t: t[:2], max_size=6)
+ANGLES = st.floats(0.0, 2.0 * math.pi)
+SCALARS = st.builds(cmath.rect, st.floats(0.5, 2.0), ANGLES)
 
 # points of the disk within hyperbolic distance 2 atanh(0.99), about 5.3,
 # of the origin; the paper's fixed points sit at radius 0.3 to 0.6
@@ -92,3 +103,23 @@ def test_expand_poly_equals_the_repeated_product(roots):
 
 def test_expand_poly_of_no_roots_is_one():
     assert expand_poly([]) == Poly.one()
+
+
+@PROPERTY
+@given(TAGGED_ROOTS, SCALARS, SCALARS, ANGLES)
+# a pole at 1e-12j: trimming den's 7.5e-13 constant would move the common root
+@example([(0, 0, 0.0, 1e-12, "B"), (0, 1, 0.0, 0.0, "A"), (0, -1, 0.0, 0.0, "C")],
+         1, 1, 0.0)
+def test_rational_fn_cancels_exactly_the_common_roots(tagged, l1, l2, angle):
+    roots = {tag: [complex(0.75 * i + dx, 0.75 * j + dy)
+                   for i, j, dx, dy, t in tagged if t == tag] for tag in "ABC"}
+    num = expand_poly(roots["C"] + roots["A"]).scaled(l1)
+    den = expand_poly(roots["C"] + roots["B"]).scaled(l2)
+    rf = rational_fn(num, den)
+    assert all(rf.pole_order(b) == 1 for b in roots["B"])
+    assert all(rf.pole_order(c) == 0 for c in roots["C"])
+    # |z| = 3 keeps z at least 0.75 from every root, which lie within 1.6 * sqrt(2)
+    z = cmath.rect(3.0, angle)
+    # Horner's error on num(z)/den(z) scales with sum |c_k| |z|^k / |den(z)|
+    scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(num.coeffs)) / abs(den(z))
+    assert abs(rf(z) - num(z) / den(z)) <= 1e-9 * max(1.0, scale)
