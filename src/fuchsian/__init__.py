@@ -13,7 +13,6 @@ from .embed import GenusRange, genus_range
 from .fode import (
     PointKind,
     SecondOrderODE,
-    build_fuchsian,
     classify_point,
     curve_ode,
     is_fuchsian,
@@ -65,8 +64,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CurveSpec", "Parity", "curve_from_degree", "integer_roots", "Poly",
     "expand_poly", "GenusRange", "genus_range", "PointKind", "SecondOrderODE",
-    "build_fuchsian", "classify_point", "curve_ode", "is_fuchsian",
-    "named_equation", "singular_points", "whittaker_equation", "Model",
+    "classify_point", "curve_ode", "is_fuchsian", "named_equation",
+    "singular_points", "whittaker_equation", "Model",
     "ModelPoint", "SurfaceTopology", "Tessellation", "boundary_geodesic_apex",
     "distance", "geodesic_midpoint", "half_turn", "regular_polygon_area",
     "tessellation_topology", "triangle_area", "INFINITY",

@@ -84,7 +84,7 @@ class Poly:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(complex(c) for c in self.coeffs)
+        cs = tuple(map(complex, self.coeffs))
         # strip trailing (high-order) zeros but keep at least one entry
         while len(cs) > 1 and cs[-1] == 0:
             cs = cs[:-1]

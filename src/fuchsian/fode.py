@@ -6,7 +6,8 @@ regular-singular-point classification on the extended plane.
 
 A rational function keeps its numerator expanded and its denominator factored
 (leading coefficient plus root list), so pole orders are exact multiplicity
-counts; numerator roots are found only when a pole might cancel.
+counts, read from a tally of the distinct roots; numerator roots are found
+only when a pole might cancel.
 """
 
 from __future__ import annotations
@@ -29,17 +30,6 @@ ROOT_MATCH_TOL = 1e-9
 # numerically splits by about sqrt(machine eps * coefficient scale), up to
 # ~1e-7, so the repeated-root detector must sit well above that
 DISTINCT_ROOT_TOL = 1e-6
-# restriction residuals in build_fuchsian
-CONSTRAINT_TOL = 1e-9
-
-
-class ConstraintViolated(ValueError):
-    """One of the four Fuchsian restrictions fails; names the restriction."""
-
-    def __init__(self, restriction: str, residual: complex):
-        self.restriction = restriction
-        self.residual = residual
-        super().__init__(f"restriction {restriction} violated, residual {residual}")
 
 
 class DuplicateXi(ValueError):
@@ -72,7 +62,8 @@ class RationalFn:
 
     num is the expanded numerator; den_lead * prod(z - r) over den_roots is
     the denominator, stored factored so that a double pole is two equal
-    roots.  den expands it for display.
+    roots.  den expands it for display.  Pole orders are read from
+    _pole_tally, the distinct denominator roots with their multiplicities.
     """
 
     num: Poly
@@ -95,13 +86,28 @@ class RationalFn:
             acc /= z - r
         return acc
 
+    @cached_property
+    def _pole_tally(self) -> dict:
+        """{distinct denominator root: multiplicity}; empty for the zero function."""
+        tally = {}
+        if not self.is_zero:
+            for r in self.den_roots:
+                tally[r] = tally.get(r, 0) + 1
+        return tally
+
     def pole_order(self, point: complex) -> int:
-        """Multiplicity of point among the denominator roots, which hold no
-        root that cancels against the numerator."""
-        if self.is_zero:
-            return 0
-        tol = _match_tol(point)
-        return sum(1 for r in self.den_roots if abs(r - point) <= tol)
+        """Number of denominator roots within the match tolerance of point;
+        the denominator holds no root that cancels against the numerator."""
+        return _tally_order(self._pole_tally, point, _match_tol(point))
+
+
+def _tally_order(tally: dict, point: complex, tol: float) -> int:
+    """Sum of the multiplicities of the tallied roots within tol of point."""
+    order = 0
+    for r, m in tally.items():
+        if abs(r - point) <= tol:
+            order += m
+    return order
 
 
 def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
@@ -174,61 +180,18 @@ class SecondOrderODE:
     def _classified_points(self) -> tuple:
         """Finite poles of p1 and p2 (deduplicated, sorted) plus infinity,
         classified on first use and kept: the equation is immutable."""
-        finite = []  # (pole, its match tolerance)
-        for r in self.p1.den_roots + self.p2.den_roots:
-            if not any(abs(r - f) <= tol for f, tol in finite):
+        t1, t2 = self.p1._pole_tally, self.p2._pole_tally
+        finite = []  # (pole, its match tolerance), first seen first
+        for r in (*t1, *t2):
+            for f, tol in finite:
+                if abs(r - f) <= tol:
+                    break
+            else:
                 finite.append((r, _match_tol(r)))
         finite.sort(key=lambda ft: (round(ft[0].real, 9), round(ft[0].imag, 9)))
-        return (*(classify_point(self, z) for z, _ in finite),
-                classify_point(self, INFINITY))
-
-
-def build_fuchsian(xis, A, B, C, K1: complex = 0j, K2: complex = 0j) -> SecondOrderODE:
-    """Equation with simple p1 poles (residues A) and p2 parts B/(z-xi)^2 + C/(z-xi).
-
-    Validates the four classical restrictions (sum A = 2; sum C = 0;
-    sum B + xi C = 0; sum 2 xi B + xi^2 C = 0) making infinity no worse
-    than regular, each within 1e-9.  An empty singularity list skips the
-    restrictions (they presuppose at least one finite singular point).
-    """
-    xis = [complex(x) for x in xis]
-    A = [complex(x) for x in A]
-    B = [complex(x) for x in B]
-    C = [complex(x) for x in C]
-    if not len(xis) == len(A) == len(B) == len(C):
-        raise ValueError("xis, A, B, C must have equal lengths")
-    for i in range(len(xis)):
-        for j in range(i + 1, len(xis)):
-            if abs(xis[i] - xis[j]) <= _match_tol(xis[i]):
-                raise DuplicateXi(f"xi[{i}] and xi[{j}] coincide: {xis[i]}")
-    if xis:
-        checks = [
-            ("A_1+...+A_n = 2", sum(A) - 2.0),
-            ("C_1+...+C_n = 0", sum(C)),
-            ("sum(B_i + xi_i C_i) = 0",
-             sum(b + x * c for x, b, c in zip(xis, B, C))),
-            ("sum(2 xi_i B_i + xi_i^2 C_i) = 0",
-             sum(2 * x * b + x * x * c for x, b, c in zip(xis, B, C))),
-        ]
-        for name, residual in checks:
-            if abs(residual) > CONSTRAINT_TOL:
-                raise ConstraintViolated(name, residual)
-
-    D = expand_poly(xis)
-    # p1 numerator over common denominator D
-    p1_num = D.scaled(K1)
-    for i, x in enumerate(xis):
-        p1_num = p1_num + expand_poly(xis[:i] + xis[i + 1:]).scaled(A[i])
-    p1 = _build_rational(p1_num, 1.0, xis)
-    # p2 over D^2; the B_i term misses (z - xi_i)^2, the C_i term one factor
-    p2_num = (D * D).scaled(K2)
-    for i, x in enumerate(xis):
-        others = expand_poly(xis[:i] + xis[i + 1:])
-        others2 = others * others
-        p2_num = p2_num + others2.scaled(B[i])
-        p2_num = p2_num + (others2 * Poly((-x, 1.0))).scaled(C[i])
-    p2 = _build_rational(p2_num, 1.0, [x for x in xis for _ in range(2)])
-    return SecondOrderODE(p1, p2, params={"K1": complex(K1), "K2": complex(K2)})
+        return (*(PointClass(z, _kind(_tally_order(t1, z, tol), _tally_order(t2, z, tol)))
+                  for z, tol in finite),
+                PointClass(INFINITY, _kind(*_infinity_pole_orders(self))))
 
 
 _NAMED_PARAM_COUNTS = {
@@ -268,7 +231,11 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
         named = {"lambda": lam}
     elif key == "Heun":
         al, be, ga, de, ep, a, q = params
-        if abs(a) <= _match_tol(0.0) or abs(a - 1.0) <= _match_tol(1.0):
+        try:
+            coincide = abs(a) <= _match_tol(0.0) or abs(a - 1.0) <= _match_tol(1.0)
+        except OverflowError:  # finite parts, modulus past the float range
+            raise ValueError(f"Heun pole a = {a} has a modulus past the float range") from None
+        if coincide:
             raise DuplicateXi(f"Heun pole a = {a} coincides with 0 or 1")
         num = (expand_poly([1.0, a]).scaled(ga)
                + expand_poly([0.0, a]).scaled(de)
@@ -307,16 +274,28 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
     if n < 5:
         raise DegreeTooSmall(f"deg f = {n} < 5")
     roots = f.roots()
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) <= DISTINCT_ROOT_TOL * (1.0 + abs(roots[i])):
-                raise RepeatedRoots(f"roots {roots[i]} and {roots[j]} coincide")
+    for i, r in enumerate(roots):
+        tol = DISTINCT_ROOT_TOL * (1.0 + abs(r))
+        for other in roots[i + 1:]:
+            if abs(r - other) <= tol:
+                raise RepeatedRoots(f"roots {r} and {other} coincide")
     g = math.ceil(n / 2) - 1
     ratio = Fraction(2 * g + 2, 2 * g + 1)
-    fp = f.derivative()
-    fpp = fp.derivative()
-    # N = (3/16)(f'^2 - ratio f'' f); its top coefficient cancels for even n
-    num = _top_trimmed(((fp * fp) - (fpp * f).scaled(float(ratio))).scaled(3.0 / 16.0))
+    df = f.derivative()
+    fp, fpp = df.coeffs, df.derivative().coeffs
+    # N = (3/16)(f'^2 - ratio f'' f); its top coefficient cancels for even n.
+    # Both products sum in Poly.__mul__'s order, so N matches the Poly
+    # expression to the bit
+    sq = [0j] * (2 * len(fp) - 1)
+    for i, a in enumerate(fp):
+        for k, b in enumerate(fp, i):
+            sq[k] += a * b
+    cross = [0j] * (len(fpp) + n)
+    for i, a in enumerate(fpp):
+        for k, b in enumerate(f.coeffs, i):
+            cross[k] += a * b
+    q = float(ratio)
+    num = _top_trimmed(Poly([3.0 / 16.0 * (x + -1.0 * (q * y)) for x, y in zip(sq, cross)]))
     # N(r) = (3/16) f'(r)^2 != 0 at each simple root r of f: nothing cancels
     lead = f.coeffs[-1]
     p2 = RationalFn(num, lead * lead, tuple(r for r in roots for _ in range(2)))
@@ -342,13 +321,31 @@ def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderOD
     return SecondOrderODE(p1, p2, params={"k1": k1, "k2": k2, "s": s})
 
 
-def _one_sided(poly_roots, lead) -> Poly:
-    """lead * prod(1 - r w) over nonzero roots: p(1/w) * w^deg in the variable w."""
-    out = Poly((complex(lead),))
-    for r in poly_roots:
+def _two_d_minus_n(p: RationalFn) -> Poly:
+    """2 D(w) - N(w) for p(1/w) = w^(deg den - deg num) N(w)/D(w), where
+    D = lead * prod(1 - r w) over the nonzero poles and N = w^deg num(1/w).
+
+    D is multiplied out in one list; each entry sums from 0j in the order
+    the Poly product (lead) * (1 - r w) * ... uses, so the coefficients
+    equal those of the Poly expression 2 D - N to the bit."""
+    one = complex(1.0)
+    d = [complex(p.den_lead)]
+    for r in p.den_roots:
         if r != 0:
-            out = out * Poly((1.0, -r))
-    return out
+            nr = complex(-r)
+            d.append(0j + d[-1] * nr)
+            for k in range(len(d) - 2, 0, -1):
+                d[k] = (0j + d[k - 1] * nr) + d[k] * one
+            d[0] = 0j + d[0] * one
+    n = Poly(p.num.coeffs[::-1]).coeffs  # Poly drops num's low-order zeros
+    h = [2.0 * c for c in d]
+    for k, c in enumerate(n):
+        neg = -1.0 * c
+        if k < len(h):
+            h[k] = h[k] + neg
+        else:
+            h.append(neg)
+    return Poly(h)
 
 
 def _infinity_pole_orders(ode: SecondOrderODE) -> tuple:
@@ -372,10 +369,7 @@ def _infinity_pole_orders(ode: SecondOrderODE) -> tuple:
             o1 = 1
         elif e1 == -1:
             # P1 = (2 D - N)/(w D); the pole cancels where 2D - N vanishes at 0
-            N = Poly(p1.num.coeffs[::-1])  # w^deg num(1/w); Poly drops the top zeros
-            D = _one_sided(p1.den_roots, p1.den_lead)
-            h = (D.scaled(2.0) - N).trimmed()
-            o1 = 1 if h.coeffs[0] != 0 else 0
+            o1 = 1 if _two_d_minus_n(p1).trimmed().coeffs[0] != 0 else 0
         else:
             o1 = -e1
     return o1, o2

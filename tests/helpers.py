@@ -1,10 +1,13 @@
-"""Shared test utilities: reference-table loading, numeric parsing and the
-reference JSON encoder."""
+"""Shared test utilities: reference-table loading, numeric parsing, the
+reference JSON encoder and a reference classification of singular points."""
 
 import json
 import pathlib
 from fractions import Fraction
 
+from fuchsian.curves import Poly
+from fuchsian.fode import ROOT_MATCH_TOL, PointClass, PointKind
+from fuchsian.moebius import INFINITY
 from fuchsian.report import round_sig
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
@@ -61,3 +64,69 @@ def _walk(obj, precision):
 def oracle_json(obj, precision=7):
     """Reference for canonical_json: a rounded copy through the stdlib encoder."""
     return json.dumps(_walk(obj, precision), sort_keys=True, indent=2)
+
+
+# --- reference classification -------------------------------------------------
+# The classification restated the plain way: every pole scanned once per
+# point, every pole of p1 and p2 deduplicated in turn, and D(w) at infinity
+# built as a product of Polys.
+
+
+def _match_tol(z):
+    return ROOT_MATCH_TOL * (1.0 + abs(z))
+
+
+def reference_pole_order(rf, point):
+    """Number of denominator roots within the match tolerance of point."""
+    if rf.is_zero:
+        return 0
+    tol = _match_tol(point)
+    return sum(1 for r in rf.den_roots if abs(r - point) <= tol)
+
+
+def _one_sided(poly_roots, lead):
+    """lead * prod(1 - r w) over nonzero roots: p(1/w) * w^deg in w."""
+    out = Poly((complex(lead),))
+    for r in poly_roots:
+        if r != 0:
+            out = out * Poly((1.0, -r))
+    return out
+
+
+def reference_infinity_orders(ode):
+    """Pole orders at w = 0 of P1 = 2/w - p1(1/w)/w^2 and P2 = p2(1/w)/w^4."""
+    p1, p2 = ode.p1, ode.p2
+    o2 = 0 if p2.is_zero else max(0, p2.num.degree + 4 - len(p2.den_roots))
+    if p1.is_zero:
+        return 1, o2
+    e1 = len(p1.den_roots) - p1.num.degree - 2
+    if e1 >= 0:
+        return 1, o2
+    if e1 < -1:
+        return -e1, o2
+    N = Poly(p1.num.coeffs[::-1])
+    D = _one_sided(p1.den_roots, p1.den_lead)
+    h = (D.scaled(2.0) - N).trimmed()
+    return (1 if h.coeffs[0] != 0 else 0), o2
+
+
+def reference_kind(o1, o2):
+    if o1 == 0 and o2 == 0:
+        return PointKind.ORDINARY
+    if o1 <= 1 and o2 <= 2:
+        return PointKind.REGULAR_SINGULAR
+    return PointKind.IRREGULAR_SINGULAR
+
+
+def reference_singular_points(ode):
+    """Finite poles of p1 then p2, deduplicated in order and sorted, plus
+    infinity, each classified from its pole orders."""
+    finite = []
+    for r in ode.p1.den_roots + ode.p2.den_roots:
+        if not any(abs(r - f) <= tol for f, tol in finite):
+            finite.append((r, _match_tol(r)))
+    finite.sort(key=lambda ft: (round(ft[0].real, 9), round(ft[0].imag, 9)))
+    points = [PointClass(z, reference_kind(reference_pole_order(ode.p1, z),
+                                           reference_pole_order(ode.p2, z)))
+              for z, _ in finite]
+    return points + [PointClass(INFINITY, reference_kind(*reference_infinity_orders(ode)))]

@@ -229,6 +229,15 @@ def test_heun_pole_merging_into_0_or_1_is_a_domain_error(capsys, a):
     assert err.startswith("error: Heun pole a = ") and err.count("\n") == 1
 
 
+def test_heun_pole_with_a_modulus_past_the_float_range_is_a_domain_error(capsys):
+    # finite parts, but |a| overflows in the coincidence check
+    rc, out, err = invoke(capsys, "ode", "classify", "--named", "Heun",
+                          "--params", "1", "2", "3", "4", "5", "1.5e308,1.5e308", "1")
+    assert (rc, out) == (2, "")
+    assert err == ("error: Heun pole a = (1.5e+308+1.5e+308j) has a modulus"
+                   " past the float range\n")
+
+
 def test_uniformize_genus_range_option_is_gone(capsys):
     rc, out, err = invoke(capsys, "uniformize", "--degree", "5",
                           "--genus-range", "2,8")

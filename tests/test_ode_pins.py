@@ -1,0 +1,72 @@
+"""Byte pins for the ODE documents.
+
+The sha256 of the stdout of every `ode` call in the benchmark's CLI menu, at
+the default precision and at --precision 17, and of the precision-17 JSON of
+the Whittaker equation of each integer-root curve polynomial.  Any change to
+a printed coefficient, location, kind or verdict, down to the last digit
+the CLI prints, shows here.  The Whittaker pins hold digits of numerically
+found roots, so they are tied to the numpy/LAPACK build as well.
+"""
+
+import hashlib
+
+import pytest
+
+from fuchsian.cli import run
+from fuchsian.curves import expand_poly, integer_roots
+from fuchsian.fode import whittaker_equation
+from fuchsian.report import canonical_json, ode_report
+
+# `ode` argv of the benchmark's CLI menu; both precisions print the same bytes
+CLI_PINS = {
+    "ode build --degree 5":
+        "f2320abc53d520ff0f854aafd1a28d0ed3e09a78428bd8dec0bb4ba7a81185fd",
+    "ode build --degree 6":
+        "4d2590efa020aab893d3c25ba00b571a376ad35bc36df2491a0a1e2ba8a0b205",
+    "ode build --degree 7":
+        "e639fc4670b444f76474aa1b3cd216b951277b283a6e8ebd0f3db718a49957f0",
+    "ode build --degree 8":
+        "174a85d642ffd981aa0bd4c6023c43afc7fd1ba73fd969f609515a58e35ef3c3",
+    "ode build --degree 7 --k1 0.5,0.25":
+        "fe6ab773c6a2c5b0fbd1c65094f114f4b8f422f7c7b54ba0a49b49e304bb964e",
+    "ode build --degree 6 --k2 0,1":
+        "20f3c1b7fad155abc99536f1077538017acfcb51847629f75f36776a90085e46",
+    "ode classify --named Legendre --params 0.5":
+        "8658004e2f92a2ccab28b3e85d5ca3128c42a8680d0c54784224534992b13395",
+    "ode classify --named Tchebychev --params 2,0.5":
+        "72d6c871ae729f7cfaadd7308b6c5a88b71f747f00098af474e1a931f8edfed2",
+    "ode classify --named Heun --params 1 2 3 4 5 2,1 0.5":
+        "a3be9afdb3c8358b1b492a11bacd8684f3e28ed0dc3397d3706973291120db0b",
+    "ode classify --named Hypergeometric --params 0.5 0.25 1.5":
+        "435113713b804e2d66e6af49548b0be3df2ff85798c1d1791916da1f3fe63bf3",
+    "ode classify --named WhittakerHypergeometric":
+        "b9b8ac15409868d35ab8c5cfbd5d02d4774a0eaa61d40e3d86ce08bdaed6e898",
+}
+
+# canonical_json(ode_report(whittaker_equation(expand_poly(integer_roots(n)))), 17)
+WHITTAKER_PINS = {
+    5: "39b34a7684955d310c1288be95c74e370773994401b8e87cdfce65590101a2e8",
+    6: "943bc23194374186454886ca10eca069b00c1cbf20d60dfb6eb40ac24e6bd038",
+    7: "bf997b241a7ba3168f91e65a5e2a740768ea3566361e2d8cfd79fc96386e5cdb",
+    8: "cd5b93433279ee41df1a40ac3dfdd1a1c94b583278a589f141883ab310d69b9c",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("precision", [[], ["--precision", "17"]], ids=["default", "17"])
+@pytest.mark.parametrize("command", CLI_PINS)
+def test_ode_cli_output_is_pinned(capsys, command, precision):
+    assert run(command.split() + precision) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert sha256(captured.out) == CLI_PINS[command], captured.out
+
+
+@pytest.mark.parametrize("n", WHITTAKER_PINS)
+def test_whittaker_document_is_pinned(n):
+    ode = whittaker_equation(expand_poly(integer_roots(n)))
+    text = canonical_json(ode_report(ode), 17)
+    assert sha256(text) == WHITTAKER_PINS[n], text

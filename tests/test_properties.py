@@ -1,5 +1,6 @@
 """Property tests: canonical JSON, half-turns, geodesic midpoints, genus bounds,
-polynomial expansion, rational-function cancellation."""
+polynomial expansion, rational-function cancellation, singular-point
+classification."""
 
 import cmath
 import json
@@ -12,12 +13,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fuchsian.curves import Poly, expand_poly
 from fuchsian.embed import genus_range
-from fuchsian.fode import rational_fn
+from fuchsian.fode import (
+    ZERO_RATIONAL, PointKind, RationalFn, SecondOrderODE, is_fuchsian, rational_fn,
+    singular_points)
 from fuchsian.hyperbolic import ModelPoint, distance, geodesic_midpoint, half_turn
 from fuchsian.moebius import apply, compose, is_projectively_identity
 from fuchsian.report import canonical_json
 
-from helpers import oracle_json
+from helpers import (
+    oracle_json, reference_pole_order, reference_singular_points)
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -123,3 +127,71 @@ def test_rational_fn_cancels_exactly_the_common_roots(tagged, l1, l2, angle):
     # Horner's error on num(z)/den(z) scales with sum |c_k| |z|^k / |den(z)|
     scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(num.coeffs)) / abs(den(z))
     assert abs(rf(z) - num(z) / den(z)) <= 1e-9 * max(1.0, scale)
+
+
+# poles drawn from a small pool (exact duplicates, and -0.0 next to 0.0),
+# moved by up to 4e-9 (inside and outside the 1e-9 (1 + |z|) match
+# tolerance, so near-duplicates chain), or anywhere in |z| <= 4
+POLE_POOL = (0j, complex(-0.0, -0.0), complex(0.0, -0.0), 1 + 0j, -1 + 0j, 2 + 1j, 0.5j)
+POLES = st.lists(
+    st.sampled_from(POLE_POOL)
+    | st.builds(lambda z, d, t: z + cmath.rect(d, t),
+                st.sampled_from(POLE_POOL), st.floats(0.0, 4e-9), ANGLES)
+    | st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+    max_size=6)
+# |lead| past the float range overflows 2 D - N at infinity
+LEADS = SCALARS | st.just(complex(1.5e308, 1.5e308))
+
+
+@st.composite
+def rational_specs(draw):
+    """(numerator coefficients, or None for the zero function; den_lead; poles).
+    "e1=-1" gives deg num = #poles - 1, where infinity needs the 2 D - N check;
+    "cancel" also sets num's top coefficient to 2 lead, which cancels there,
+    or to within float noise of it, or just off it."""
+    poles = draw(POLES)
+    lead = draw(LEADS)
+    shape = draw(st.sampled_from(["zero", "any", "e1=-1", "cancel"]))
+    if shape == "zero":
+        return None, lead, poles
+    if shape == "any":
+        degree = draw(st.integers(0, len(poles) + 3))
+    else:
+        poles = poles or [draw(st.sampled_from(POLE_POOL))]
+        degree = len(poles) - 1
+    coeffs = draw(st.lists(SCALARS, min_size=degree + 1, max_size=degree + 1))
+    if shape == "cancel":
+        coeffs[-1] = 2 * lead * (1.0 + draw(st.sampled_from([0.0, 1e-14, 1e-6])))
+    return coeffs, lead, poles
+
+
+def _rational(spec):
+    coeffs, lead, poles = spec
+    return ZERO_RATIONAL if coeffs is None else RationalFn(Poly(coeffs), lead, tuple(poles))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_specs(), rational_specs())
+@example(([1.0], 1.0, [complex(-0.0, -0.0), 0j, 5e-10]),
+         ([1.0], 1.0, [complex(0.0, -0.0), 1 + 0j, 1 + 0j]))
+@example(([1.0, 2.0], 1.0, [0j, 1 + 0j]), (None, 1.0, []))  # 2 D - N cancels
+@example(([1.0, 2.0 + 4e-15], 1.0, [0j, 1 + 0j]), (None, 1.0, []))  # noise at w^0
+@example(([1.0], complex(1.5e308, 1.5e308), [1 + 0j]), (None, 1.0, []))  # overflow
+@example(([complex(1.5e308, 1.5e308), 1.0], 1.0, [1 + 0j, 2 + 0j]), (None, 1.0, []))
+def test_classification_agrees_with_the_reference_scan(spec1, spec2):
+    ode = SecondOrderODE(_rational(spec1), _rational(spec2))
+    try:
+        want = reference_singular_points(ode)
+    except ValueError:  # an overflowed coefficient at infinity
+        with pytest.raises(ValueError):
+            singular_points(ode)
+        with pytest.raises(ValueError):
+            is_fuchsian(ode)
+    else:
+        assert repr(singular_points(ode)) == repr(want)  # repr tells -0.0 from 0.0
+        assert is_fuchsian(ode) is all(
+            pc.kind is not PointKind.IRREGULAR_SINGULAR for pc in want)
+    for rf in (ode.p1, ode.p2):
+        for pole in spec1[2] + spec2[2] + [0j, complex(-0.0, -0.0), 3 - 1j]:
+            for z in (pole, pole + 5e-10, pole - 3e-9j):
+                assert rf.pole_order(z) == reference_pole_order(rf, z)
