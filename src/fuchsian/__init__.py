@@ -13,7 +13,6 @@ from .embed import GenusRange, genus_range
 from .fode import (
     PointKind,
     SecondOrderODE,
-    classify_point,
     curve_ode,
     is_fuchsian,
     named_equation,
@@ -25,13 +24,11 @@ from .hyperbolic import (
     ModelPoint,
     SurfaceTopology,
     Tessellation,
-    boundary_geodesic_apex,
     distance,
     geodesic_midpoint,
     half_turn,
     regular_polygon_area,
     tessellation_topology,
-    triangle_area,
 )
 from .moebius import (
     INFINITY,
@@ -64,11 +61,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CurveSpec", "Parity", "curve_from_degree", "integer_roots", "Poly",
     "expand_poly", "GenusRange", "genus_range", "PointKind", "SecondOrderODE",
-    "classify_point", "curve_ode", "is_fuchsian", "named_equation",
-    "singular_points", "whittaker_equation", "Model",
-    "ModelPoint", "SurfaceTopology", "Tessellation", "boundary_geodesic_apex",
-    "distance", "geodesic_midpoint", "half_turn", "regular_polygon_area",
-    "tessellation_topology", "triangle_area", "INFINITY",
+    "curve_ode", "is_fuchsian", "named_equation", "singular_points",
+    "whittaker_equation", "Model", "ModelPoint", "SurfaceTopology",
+    "Tessellation", "distance", "geodesic_midpoint", "half_turn",
+    "regular_polygon_area", "tessellation_topology", "INFINITY",
     "MoebiusMap", "TransformClass", "classify", "compose", "evaluate_word",
     "fixed_points", "normalize", "projective_distance", "to_disk_model",
     "to_halfplane_model", "canonical_json", "uniformization_report",

@@ -100,10 +100,6 @@ class Poly:
     def zero(cls) -> "Poly":
         return cls((0.0,))
 
-    @classmethod
-    def variable(cls) -> "Poly":
-        return cls((0.0, 1.0))
-
     @property
     def degree(self) -> int:
         # zero polynomial reports -1

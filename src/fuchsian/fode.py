@@ -22,7 +22,7 @@ from functools import cached_property
 # RootFindingFailure is raised by Poly.roots and re-exported here
 from .curves import (
     COEFF_TRIM_TOL, CurveSpec, DegreeTooSmall, Poly, RootFindingFailure, expand_poly)
-from .moebius import INFINITY, is_infinity
+from .moebius import INFINITY
 
 # root clustering radius for cancellation / multiplicity counting
 ROOT_MATCH_TOL = 1e-9
@@ -381,15 +381,6 @@ def _kind(o1: int, o2: int) -> PointKind:
     if o1 <= 1 and o2 <= 2:
         return PointKind.REGULAR_SINGULAR
     return PointKind.IRREGULAR_SINGULAR
-
-
-def classify_point(ode: SecondOrderODE, pt) -> PointClass:
-    """Ordinary / regular singular / irregular singular at a point or infinity."""
-    if is_infinity(pt):
-        o1, o2 = _infinity_pole_orders(ode)
-        return PointClass(INFINITY, _kind(o1, o2))
-    pt = complex(pt)
-    return PointClass(pt, _kind(ode.p1.pole_order(pt), ode.p2.pole_order(pt)))
 
 
 def singular_points(ode: SecondOrderODE) -> list:

@@ -16,9 +16,6 @@ from .moebius import (
     halfplane_point_to_disk,
 )
 
-ANGLE_TOL = 1e-9
-BOUNDARY_TOL = 1e-9
-
 
 class ModelMismatch(ValueError):
     """Operands live in different models (or the wrong model)."""
@@ -29,14 +26,6 @@ class InvalidPoint(ValueError):
 
 
 class CoincidentPoints(ValueError):
-    pass
-
-
-class CoincidentEndpoints(ValueError):
-    pass
-
-
-class AngleSumExceedsPi(ValueError):
     pass
 
 
@@ -113,29 +102,6 @@ def geodesic_midpoint(x: ModelPoint, y: ModelPoint) -> ModelPoint:
     return ModelPoint.disk((m0 + x.z) / (1.0 + x.z.conjugate() * m0))
 
 
-def boundary_geodesic_apex(u: complex, v: complex) -> ModelPoint:
-    """Closest-to-origin point of the disk geodesic with ideal endpoints u, v.
-
-    The geodesic is the arc of the circle through u and v orthogonal to the
-    unit circle; its apex sits at angle midway between u and v at radius
-    sec(d/2) - tan(d/2), d the angle subtended.  Antipodal endpoints give a
-    diameter, whose apex is the center.
-    """
-    u, v = complex(u), complex(v)
-    for w in (u, v):
-        if abs(abs(w) - 1.0) > BOUNDARY_TOL:
-            raise InvalidPoint(f"|{w}| != 1: endpoints must be ideal")
-    if abs(u - v) <= BOUNDARY_TOL:
-        raise CoincidentEndpoints("geodesic endpoints coincide")
-    s = u + v
-    if abs(s) <= BOUNDARY_TOL:
-        return ModelPoint.disk(0.0)  # diameter
-    cos_half = min(abs(s) / 2.0, 1.0)
-    sin_half = min(abs(u - v) / 2.0, 1.0)
-    radius = (1.0 - sin_half) / cos_half  # = sec(d/2) - tan(d/2)
-    return ModelPoint.disk(s / abs(s) * radius)
-
-
 def half_turn(p: ModelPoint) -> MoebiusMap:
     """Order-2 disk isometry fixing p: conjugate z -> -z by z -> (z+p)/(1+conj(p)z).
 
@@ -145,22 +111,6 @@ def half_turn(p: ModelPoint) -> MoebiusMap:
         raise ModelMismatch("half_turn is defined on disk points")
     r2 = abs(p.z) ** 2
     return MoebiusMap(-(1.0 + r2), 2.0 * p.z, -2.0 * p.z.conjugate(), 1.0 + r2)
-
-
-def triangle_area(alpha: float, beta: float, theta: float) -> float:
-    """Gauss-Bonnet area pi - alpha - beta - theta of a hyperbolic triangle.
-
-    Angle sum exactly pi (the Euclidean boundary) returns 0 rather than
-    raising.
-    """
-    if min(alpha, beta, theta) < 0.0:
-        raise ValueError("angles must be nonnegative")
-    s = alpha + beta + theta
-    if s > math.pi + ANGLE_TOL:
-        raise AngleSumExceedsPi(f"angle sum {s} exceeds pi")
-    if s >= math.pi - ANGLE_TOL:
-        return 0.0
-    return math.pi - s
 
 
 @dataclass(frozen=True)
@@ -193,11 +143,17 @@ def regular_polygon_area(t: Tessellation) -> float:
     """Area of the fundamental p-gon with vertex angles 2 pi / q.
 
     Gauss-Bonnet by fan triangulation: (p-2) pi - p (2 pi / q).  Exactly 0
-    on the Euclidean boundary (p-2)(q-2) = 4.
+    on the Euclidean boundary (p-2)(q-2) = 4; ValueError on float overflow.
     """
     if (t.p - 2) * (t.q - 2) < 4:
         raise NotHyperbolic(f"{{{t.p},{t.q}}} is spherical")
-    return (t.p - 2) * math.pi - t.p * (2.0 * math.pi / t.q)
+    try:
+        area = (t.p - 2) * math.pi - t.p * (2.0 * math.pi / t.q)
+    except OverflowError:  # p or q past the float range
+        area = math.inf
+    if not math.isfinite(area):  # a product past the float range
+        raise ValueError(f"{{{t.p},{t.q}}}: area overflows float arithmetic")
+    return area
 
 
 def tessellation_topology(t: Tessellation) -> SurfaceTopology:

@@ -238,6 +238,17 @@ def test_heun_pole_with_a_modulus_past_the_float_range_is_a_domain_error(capsys)
                    " past the float range\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("--pq", "1" + "0" * 400 + ",4"),
+    ("--degree", "1" + "0" * 400),
+], ids=["pq", "degree"])
+def test_tessellation_whose_area_overflows_is_a_domain_error(capsys, argv):
+    rc, out, err = invoke(capsys, "tessellation", *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: {") and err.count("\n") == 1
+    assert err.endswith("}: area overflows float arithmetic\n")
+
+
 def test_uniformize_genus_range_option_is_gone(capsys):
     rc, out, err = invoke(capsys, "uniformize", "--degree", "5",
                           "--genus-range", "2,8")

@@ -106,7 +106,6 @@ def test_poly_arithmetic():
     assert p.scaled(2).coeffs == (2, 4)
     assert Poly.zero().is_zero
     assert Poly.one().degree == 0
-    assert Poly.variable().coeffs == (0, 1)
 
 
 def test_poly_product_matches_numpy_convolve():

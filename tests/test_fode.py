@@ -20,7 +20,6 @@ from fuchsian.fode import (
     SecondOrderODE,
     UnknownName,
     UnsupportedDegree,
-    classify_point,
     curve_ode,
     is_fuchsian,
     named_equation,
@@ -34,6 +33,13 @@ from fuchsian.moebius import INFINITY, is_infinity
 def finite_locations(ode):
     return sorted(p.location.real for p in singular_points(ode)
                   if not is_infinity(p.location))
+
+
+def assert_ordinary(ode, z):
+    """z is not listed as a singular point and neither coefficient has a pole there."""
+    assert all(is_infinity(p.location) or abs(p.location - z) > 1e-9 * (1 + abs(z))
+               for p in singular_points(ode))
+    assert ode.p1.pole_order(z) == ode.p2.pole_order(z) == 0
 
 
 def test_rational_fn_cancellation():
@@ -117,14 +123,14 @@ def test_tchebychev():
     ode = named_equation("tchebychev", [3.0])  # case-insensitive lookup
     assert finite_locations(ode) == [-1.0, 1.0]
     assert is_fuchsian(ode)
-    assert classify_point(ode, INFINITY).kind is PointKind.REGULAR_SINGULAR
+    assert singular_points(ode)[-1].kind is PointKind.REGULAR_SINGULAR  # infinity
 
 
 def test_hypergeometric():
     ode = named_equation("Hypergeometric", [0.5, 0.5, 1.0])
     assert finite_locations(ode) == [0.0, 1.0]
     assert is_fuchsian(ode)
-    assert classify_point(ode, INFINITY).kind is PointKind.REGULAR_SINGULAR
+    assert singular_points(ode)[-1].kind is PointKind.REGULAR_SINGULAR  # infinity
 
 
 def test_heun():
@@ -179,8 +185,8 @@ def test_trivial_equation_regular_at_infinity():
 def test_first_coefficient_cancellation_at_infinity():
     # p1 = 2/z makes the transformed first coefficient vanish at infinity
     ode = SecondOrderODE(rational_fn(Poly((2.0,)), Poly((0.0, 1.0))), ZERO_RATIONAL)
-    assert classify_point(ode, INFINITY).kind is PointKind.ORDINARY
-    assert classify_point(ode, 0.0).kind is PointKind.REGULAR_SINGULAR
+    assert singular_points(ode) == [PointClass(0j, PointKind.REGULAR_SINGULAR),
+                                    PointClass(INFINITY, PointKind.ORDINARY)]
 
 
 def test_whittaker_z5():
@@ -212,10 +218,12 @@ def test_whittaker_pole_structure():
 def test_whittaker_keeps_a_double_pole_at_every_small_root(f):
     ode = whittaker_equation(f)
     roots = f.roots()
-    assert len(singular_points(ode)) == len(roots) + 1
+    pts = singular_points(ode)
+    assert len(pts) == len(roots) + 1
     for r in roots:
         assert ode.p2.pole_order(r) == 2
-        assert classify_point(ode, r).kind is PointKind.REGULAR_SINGULAR
+        near = [p.kind for p in pts[:-1] if abs(p.location - r) <= 1e-9]
+        assert near == [PointKind.REGULAR_SINGULAR]
     assert is_fuchsian(ode)
 
 
@@ -264,10 +272,13 @@ def test_classification_survives_common_factors(root_calls):
     assert len(root_calls) == 4  # two denominators, two numerators
     for rf in (inflated.p1, inflated.p2):
         assert sorted(r.real for r in rf.den_roots) == pytest.approx([-1.0, 1.0])
-    for z in (-1.0, 1.0, 0.3, 5.0, -2.0 + 1.0j):
-        assert classify_point(inflated, z).kind is classify_point(base, z).kind
-    assert classify_point(inflated, INFINITY).kind is \
-        classify_point(base, INFINITY).kind
+    # the inflated poles sit about 1e-16 off +-1, so locations compare approximately
+    got, want = singular_points(inflated), singular_points(base)
+    assert [p.kind for p in got] == [p.kind for p in want]
+    assert [p.location for p in got[:-1]] == pytest.approx([p.location for p in want[:-1]])
+    assert is_infinity(got[-1].location)
+    for z in (0.3, 5.0, -2.0 + 1.0j):
+        assert_ordinary(inflated, z)
 
 
 def test_whittaker_finds_roots_once(root_calls):
@@ -327,7 +338,7 @@ def test_curve_ode_coefficients():
     assert abs(ode.p2(z) - 2.0) < 1e-12
     assert ode.params["k1"] == 1.0 and ode.params["k2"] == 2.0
     # nonzero k1 forces an irregular point at infinity
-    assert classify_point(ode, INFINITY).kind is PointKind.IRREGULAR_SINGULAR
+    assert singular_points(ode)[-1].kind is PointKind.IRREGULAR_SINGULAR  # infinity
     assert not is_fuchsian(ode)
 
 
@@ -339,7 +350,7 @@ def test_infinity_ordinary_with_finite_poles():
                          RationalFn(Poly.one(), 1.0, (0j, 0j, 1 + 0j, 1 + 0j)))
     assert is_fuchsian(ode)
     assert finite_locations(ode) == [0.0, 1.0]
-    assert classify_point(ode, INFINITY).kind is PointKind.ORDINARY
+    assert singular_points(ode)[-1].kind is PointKind.ORDINARY  # infinity
 
 
 def test_infinity_irregular_from_a_constant_p1():
@@ -347,7 +358,7 @@ def test_infinity_irregular_from_a_constant_p1():
     ode = SecondOrderODE(rational_fn(Poly.one(), Poly.one()), ZERO_RATIONAL)
     pts = singular_points(ode)
     assert len(pts) == 1 and is_infinity(pts[0].location)
-    assert classify_point(ode, INFINITY).kind is PointKind.IRREGULAR_SINGULAR
+    assert pts[0].kind is PointKind.IRREGULAR_SINGULAR
 
 
 def test_singular_points_sorted_and_deduplicated():
@@ -407,6 +418,5 @@ def test_ode_report_classifies_each_point_once(monkeypatch, case):
 
 def test_classify_ordinary_point():
     ode = named_equation("Legendre", [2.0])
-    pc = classify_point(ode, 0.5)
-    assert pc.kind is PointKind.ORDINARY
+    assert_ordinary(ode, 0.5)
     assert str(PointKind.ORDINARY) == "Ordinary"

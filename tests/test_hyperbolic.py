@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from fuchsian.hyperbolic import (
-    AngleSumExceedsPi,
-    CoincidentEndpoints,
     CoincidentPoints,
     InvalidPoint,
     Model,
@@ -16,13 +14,11 @@ from fuchsian.hyperbolic import (
     NotHyperbolic,
     OddSides,
     Tessellation,
-    boundary_geodesic_apex,
     distance,
     geodesic_midpoint,
     half_turn,
     regular_polygon_area,
     tessellation_topology,
-    triangle_area,
 )
 from fuchsian.moebius import apply, compose, is_projectively_identity, normalize
 
@@ -97,53 +93,6 @@ def test_midpoint_equidistant():
     assert abs(mid.z - 2j) < 1e-9  # geometric mean of the heights
 
 
-def test_apex_quarter_circle():
-    p = boundary_geodesic_apex(1.0, 1j)
-    assert abs(p.z - (math.sqrt(2) - 1) * cmath.exp(0.25j * math.pi)) < 1e-12
-
-
-def test_apex_consecutive_fifth_roots():
-    u, v = 1.0, cmath.exp(0.4j * math.pi)
-    p = boundary_geodesic_apex(u, v)
-    half = math.pi / 5
-    expected = (1 - math.sin(half)) / math.cos(half)
-    assert abs(abs(p.z) - expected) < 1e-12
-    assert abs(cmath.phase(p.z) - half) < 1e-12
-
-
-def test_apex_edge_cases():
-    assert boundary_geodesic_apex(1.0, -1.0).z == 0  # diameter
-    with pytest.raises(CoincidentEndpoints):
-        boundary_geodesic_apex(1j, 1j)
-    with pytest.raises(InvalidPoint):
-        boundary_geodesic_apex(0.5, 1.0)
-
-
-def test_apex_is_closest_point():
-    # every other point of the geodesic arc lies further from the origin
-    rng = np.random.RandomState(34)
-    o = ModelPoint.disk(0)
-    for _ in range(20):
-        t1, t2 = rng.uniform(0, 2 * math.pi, 2)
-        u, v = cmath.exp(1j * t1), cmath.exp(1j * t2)
-        if abs(u - v) < 0.1 or abs(u + v) < 0.1:
-            continue
-        apex = boundary_geodesic_apex(u, v)
-        d0 = distance(o, apex)
-        # the geodesic is an arc of the circle centered at c orthogonal
-        # to the unit circle
-        cos_half = abs(u + v) / 2.0
-        sin_half = abs(u - v) / 2.0
-        c = (u + v) / abs(u + v) / cos_half
-        radius = sin_half / cos_half
-        span = math.pi - 2 * math.asin(sin_half)
-        phi0 = cmath.phase(-c)
-        for s in np.linspace(-0.9, 0.9, 9):
-            z = c + radius * cmath.exp(1j * (phi0 + s * span / 2))
-            assert abs(z) < 1.0
-            assert distance(o, ModelPoint.disk(z)) >= d0 - 1e-9
-
-
 def test_half_turn():
     m = half_turn(ModelPoint.disk(0))
     assert abs(apply(m, 0.3j) + 0.3j) < 1e-12  # z -> -z at the origin
@@ -171,15 +120,6 @@ def test_half_turn_swaps_endpoints():
         assert abs(apply(m, y) - x) < 1e-8
 
 
-def test_triangle_area():
-    assert abs(triangle_area(0.2, 0.3, 0.4) - (math.pi - 0.9)) < 1e-15
-    assert triangle_area(math.pi / 2, math.pi / 4, math.pi / 4) == 0.0
-    with pytest.raises(ValueError):
-        triangle_area(-0.1, 0.2, 0.3)
-    with pytest.raises(AngleSumExceedsPi):
-        triangle_area(2.0, 1.0, 1.0)
-
-
 def test_tessellation_validity():
     assert Tessellation(7, 3).is_hyperbolic
     assert not Tessellation(4, 4).is_hyperbolic  # Euclidean
@@ -201,6 +141,17 @@ def test_polygon_areas():
     assert regular_polygon_area(Tessellation(3, 6)) == 0.0
     with pytest.raises(NotHyperbolic):
         regular_polygon_area(Tessellation(3, 5))
+
+
+@pytest.mark.parametrize("p, q", [
+    (10 ** 400, 4),  # p does not convert to float
+    (4, 10 ** 400),  # nor does q
+    (10 ** 308, 10 ** 308),  # (p-2) pi is inf
+    (10 ** 308, 3),  # inf - inf is nan
+], ids=["p-int", "q-int", "inf", "nan"])
+def test_polygon_area_overflow_is_a_value_error(p, q):
+    with pytest.raises(ValueError, match="area overflows float arithmetic"):
+        regular_polygon_area(Tessellation(p, q))
 
 
 def test_area_families_agree():
