@@ -2,7 +2,7 @@
 
 Genus and parity from the degree, singularities as roots of unity, the
 integer-shifted root representation, and monic polynomial expansion.
-Arithmetic is plain Python; only Poly.roots calls an eigenvalue solver.
+Arithmetic is plain Python; Poly.roots hands np.roots's companion matrix to eigvals.
 """
 
 from __future__ import annotations
@@ -144,32 +144,43 @@ class Poly:
         return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
     def roots(self) -> tuple:
+        """np.roots's companion-matrix eigenvalues, then its 0j roots: bit for bit."""
         if self.degree < 1:
             return ()
         import numpy as np
+        k = next(i for i, c in enumerate(self.coeffs) if c != 0)
+        if k == self.degree:
+            return (0j,) * k
+        p = np.array(self.coeffs[k:][::-1])
+        a = np.eye(len(p) - 1, k=-1, dtype=complex)
         # an overflowing coefficient ratio leaves inf or nan in the companion
         # matrix, which eigvals rejects; the warnings would only repeat that
+        with np.errstate(all="ignore"):
+            a[0] = -p[1:] / p[0]
         try:
-            with np.errstate(all="ignore"):
-                found = np.roots(list(reversed(self.coeffs)))
+            found = np.linalg.eigvals(a)
         except np.linalg.LinAlgError as exc:
             raise RootFindingFailure(f"root finding failed: {exc}") from exc
-        return tuple(map(complex, found))
+        return (*map(complex, found), *(0j,) * k)
 
     def trimmed(self, tol: float = COEFF_TRIM_TOL) -> "Poly":
-        """Zero out coefficients that are float noise relative to the largest.
-        An overflowed coefficient raises ValueError; as the scale it would zero all."""
-        try:
-            sizes = [abs(c) for c in self.coeffs]
-        except OverflowError:  # finite parts, modulus past the float range
-            sizes = [math.inf]
-        if not all(map(math.isfinite, sizes)):
-            raise ValueError(f"coefficient overflow: {list(self.coeffs)}")
-        scale = max(sizes, default=0.0)
-        if scale == 0.0:
-            return Poly.zero()
-        return Poly(tuple(0.0 if s <= tol * scale else c
-                          for c, s in zip(self.coeffs, sizes)))
+        """The noise coefficients (see _size_scan) set to 0.0; self if there are none."""
+        sizes, cut = _size_scan(self.coeffs, tol)
+        if min(sizes) > cut:
+            return self
+        return Poly(tuple(0.0 if s <= cut else c for c, s in zip(self.coeffs, sizes)))
+
+
+def _size_scan(coeffs, tol: float = COEFF_TRIM_TOL) -> tuple:
+    """(moduli, cut): a modulus at or below cut = tol * the largest is noise.
+    An overflowed coefficient raises ValueError; as the scale it would zero all."""
+    try:
+        sizes = [abs(c) for c in coeffs]
+    except OverflowError:  # finite parts, modulus past the float range
+        sizes = [math.inf]
+    if not all(map(math.isfinite, sizes)):
+        raise ValueError(f"coefficient overflow: {list(coeffs)}")
+    return sizes, tol * max(sizes, default=0.0)
 
 
 def expand_poly(roots) -> Poly:

@@ -21,7 +21,8 @@ from functools import cached_property
 
 # RootFindingFailure is raised by Poly.roots and re-exported here
 from .curves import (
-    COEFF_TRIM_TOL, CurveSpec, DegreeTooSmall, Poly, RootFindingFailure, expand_poly)
+    COEFF_TRIM_TOL, CurveSpec, DegreeTooSmall, Poly, RootFindingFailure, _size_scan,
+    expand_poly)
 from .moebius import INFINITY
 
 # root clustering radius for cancellation / multiplicity counting
@@ -259,9 +260,11 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
 
 
 def _top_trimmed(p: Poly) -> Poly:
-    """p without the high-order coefficients that trimmed() calls noise; the
-    small low-order ones stay, since they place roots near 0."""
-    return Poly(p.coeffs[:p.trimmed().degree + 1])
+    """p cut after the last coefficient trimmed() keeps (p itself if none is
+    cut there); the small low-order ones stay, since they place roots near 0."""
+    sizes, cut = _size_scan(p.coeffs)
+    top = next((i for i in range(len(sizes) - 1, -1, -1) if sizes[i] > cut), -1)
+    return p if top == len(sizes) - 1 else Poly(p.coeffs[:top + 1])
 
 
 def whittaker_equation(f: Poly) -> SecondOrderODE:
@@ -321,8 +324,8 @@ def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderOD
     return SecondOrderODE(p1, p2, params={"k1": k1, "k2": k2, "s": s})
 
 
-def _two_d_minus_n(p: RationalFn) -> Poly:
-    """2 D(w) - N(w) for p(1/w) = w^(deg den - deg num) N(w)/D(w), where
+def _two_d_minus_n(p: RationalFn) -> list:
+    """2 D(w) - N(w) as a list for p(1/w) = w^(deg den - deg num) N(w)/D(w), where
     D = lead * prod(1 - r w) over the nonzero poles and N = w^deg num(1/w).
 
     D is multiplied out in one list; each entry sums from 0j in the order
@@ -345,7 +348,7 @@ def _two_d_minus_n(p: RationalFn) -> Poly:
             h[k] = h[k] + neg
         else:
             h.append(neg)
-    return Poly(h)
+    return h
 
 
 def _infinity_pole_orders(ode: SecondOrderODE) -> tuple:
@@ -368,8 +371,9 @@ def _infinity_pole_orders(ode: SecondOrderODE) -> tuple:
         if e1 >= 0:
             o1 = 1
         elif e1 == -1:
-            # P1 = (2 D - N)/(w D); the pole cancels where 2D - N vanishes at 0
-            o1 = 1 if _two_d_minus_n(p1).trimmed().coeffs[0] != 0 else 0
+            # P1 = (2 D - N)/(w D); the pole cancels where trimming zeros 2D - N at 0
+            sizes, cut = _size_scan(_two_d_minus_n(p1))
+            o1 = 1 if sizes[0] > cut else 0
         else:
             o1 = -e1
     return o1, o2

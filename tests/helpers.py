@@ -1,12 +1,14 @@
 """Shared test utilities: reference-table loading, numeric parsing, the
-reference JSON encoder and a reference classification of singular points."""
+reference JSON encoder, reference coefficient trimming and a reference
+classification of singular points."""
 
 import json
+import math
 import pathlib
 from fractions import Fraction
 
-from fuchsian.curves import Poly
-from fuchsian.fode import ROOT_MATCH_TOL, PointClass, PointKind
+from fuchsian.curves import COEFF_TRIM_TOL, Poly
+from fuchsian.fode import ROOT_MATCH_TOL, PointClass, PointKind, _two_d_minus_n
 from fuchsian.moebius import INFINITY
 from fuchsian.report import round_sig
 
@@ -66,6 +68,37 @@ def oracle_json(obj, precision=7):
     return json.dumps(_walk(obj, precision), sort_keys=True, indent=2)
 
 
+# --- reference trimming -------------------------------------------------------
+# Each trim decision restated as a whole trimmed Poly, apart from the size
+# scan that the library shares among them.
+
+
+def reference_trimmed(p, tol=COEFF_TRIM_TOL):
+    """Poly.trimmed as a fresh Poly: noise coefficients become 0.0."""
+    try:
+        sizes = [abs(c) for c in p.coeffs]
+    except OverflowError:
+        sizes = [math.inf]
+    if not all(map(math.isfinite, sizes)):
+        raise ValueError(f"coefficient overflow: {list(p.coeffs)}")
+    scale = max(sizes, default=0.0)
+    if scale == 0.0:
+        return Poly.zero()
+    return Poly(tuple(0.0 if s <= tol * scale else c
+                      for c, s in zip(p.coeffs, sizes)))
+
+
+def reference_top_trimmed(p):
+    """p cut after the degree of its trimmed copy."""
+    return Poly(p.coeffs[:reference_trimmed(p).degree + 1])
+
+
+def reference_infinity_pole(p1):
+    """1 if P1 keeps its simple pole at infinity when deg den - deg num = 1,
+    i.e. if 2 D - N keeps its constant term after trimming, else 0."""
+    return 1 if reference_trimmed(Poly(_two_d_minus_n(p1))).coeffs[0] != 0 else 0
+
+
 # --- reference classification -------------------------------------------------
 # The classification restated the plain way: every pole scanned once per
 # point, every pole of p1 and p2 deduplicated in turn, and D(w) at infinity
@@ -106,7 +139,7 @@ def reference_infinity_orders(ode):
         return -e1, o2
     N = Poly(p1.num.coeffs[::-1])
     D = _one_sided(p1.den_roots, p1.den_lead)
-    h = (D.scaled(2.0) - N).trimmed()
+    h = reference_trimmed(D.scaled(2.0) - N)
     return (1 if h.coeffs[0] != 0 else 0), o2
 
 

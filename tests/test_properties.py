@@ -1,27 +1,30 @@
-"""Property tests: canonical JSON, half-turns, geodesic midpoints, genus bounds,
-polynomial expansion, rational-function cancellation, singular-point
-classification."""
+"""Property tests: canonical JSON, Moebius maps, half-turns, disk isometries,
+geodesic midpoints, genus bounds, polynomial expansion, roots and trimming,
+rational-function cancellation, singular-point classification."""
 
 import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fuchsian.curves import Poly, expand_poly
+from fuchsian.curves import Poly, RootFindingFailure, expand_poly
 from fuchsian.embed import genus_range
 from fuchsian.fode import (
-    ZERO_RATIONAL, PointKind, RationalFn, SecondOrderODE, is_fuchsian, rational_fn,
-    singular_points)
+    ZERO_RATIONAL, PointKind, RationalFn, SecondOrderODE, _infinity_pole_orders,
+    _top_trimmed, is_fuchsian, rational_fn, singular_points)
 from fuchsian.hyperbolic import ModelPoint, distance, geodesic_midpoint, half_turn
-from fuchsian.moebius import apply, compose, is_projectively_identity
+from fuchsian.moebius import (
+    INFINITY, MoebiusMap, apply, compose, is_infinity, is_projectively_identity)
 from fuchsian.report import canonical_json
 
 from helpers import (
-    oracle_json, reference_pole_order, reference_singular_points)
+    oracle_json, reference_infinity_pole, reference_pole_order,
+    reference_singular_points, reference_top_trimmed, reference_trimmed)
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -78,6 +81,64 @@ def test_half_turn_is_an_involutive_isometry(p, x, y):
     assert is_projectively_identity(compose(m, m))
     hx, hy = (ModelPoint.disk(apply(m, w.z)) for w in (x, y))
     assert math.isclose(distance(hx, hy), distance(x, y), rel_tol=1e-9, abs_tol=1e-9)
+
+
+# a, b, c and det of modulus 0.5 to 2, so |d| <= 12: every map and its
+# inverse moves points of the sphere by a bounded factor
+MAPS = st.builds(lambda a, b, c, det: MoebiusMap(a, b, c, (det + b * c) / a),
+                 SCALARS, SCALARS, SCALARS, SCALARS)
+EXTENDED_POINTS = (st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                      allow_infinity=False)
+                   | st.just(INFINITY))
+# rotation by t after the translation z -> (z + p)/(conj(p) z + 1), |p| <= 0.9
+DISK_ISOMETRIES = st.builds(
+    lambda p, t: compose(MoebiusMap(cmath.exp(0.5j * t), 0j, 0j, cmath.exp(-0.5j * t)),
+                         MoebiusMap(1.0, p, p.conjugate(), 1.0)),
+    st.builds(cmath.rect, st.floats(0.0, 0.9), ANGLES), ANGLES)
+
+
+def chordal(z, w):
+    """Chordal distance on the Riemann sphere, infinity included."""
+    if is_infinity(z):
+        z, w = w, z
+    if is_infinity(z):
+        return 0.0
+    if is_infinity(w):
+        return 2.0 / math.hypot(1.0, abs(z))
+    return 2.0 * abs(z - w) / (math.hypot(1.0, abs(z)) * math.hypot(1.0, abs(w)))
+
+
+def _entries(m):
+    return (m.a, m.b, m.c, m.d)
+
+
+@PROPERTY
+@given(MAPS, MAPS, MAPS)
+def test_compose_is_associative(m1, m2, m3):
+    left = compose(compose(m1, m2), m3)
+    right = compose(m1, compose(m2, m3))
+    # the two products round apart by a few ulps of |m1| |m2| |m3|, entrywise
+    moduli = [MoebiusMap(*map(abs, _entries(m))) for m in (m1, m2, m3)]
+    size = compose(compose(moduli[0], moduli[1]), moduli[2])
+    for x, y, s in zip(_entries(left), _entries(right), _entries(size)):
+        assert abs(x - y) <= 1e-14 * abs(s)
+
+
+@PROPERTY
+@given(MAPS, EXTENDED_POINTS)
+@example(MoebiusMap(1.0, 2.0, 1.0, -1.0), 1.0)  # the pole: 1 -> infinity -> 1
+def test_inverse_and_apply_round_trip_on_the_sphere(m, z):
+    inv = m.inverse()
+    assert chordal(apply(inv, apply(m, z)), z) <= 1e-12
+    assert chordal(apply(m, apply(inv, z)), z) <= 1e-12
+
+
+@PROPERTY
+@given(DISK_ISOMETRIES, DISK_POINTS, DISK_POINTS)
+def test_distance_is_invariant_under_disk_isometries(m, x, y):
+    assert m.is_disk_isometry()
+    mx, my = (ModelPoint.disk(apply(m, w.z)) for w in (x, y))
+    assert math.isclose(distance(mx, my), distance(x, y), rel_tol=1e-9, abs_tol=1e-9)
 
 
 @PROPERTY
@@ -195,3 +256,78 @@ def test_classification_agrees_with_the_reference_scan(spec1, spec2):
         for pole in spec1[2] + spec2[2] + [0j, complex(-0.0, -0.0), 3 - 1j]:
             for z in (pole, pole + 5e-10, pole - 3e-9j):
                 assert rf.pole_order(z) == reference_pole_order(rf, z)
+
+
+# complex coefficients with moduli from 1e-150 to 1e150, and exact zeros
+WIDE_COEFFS = st.lists(
+    st.builds(lambda e, t: cmath.rect(10.0 ** e, t), st.floats(-150.0, 150.0), ANGLES)
+    | st.sampled_from([0j, complex(-0.0, -0.0)]),
+    min_size=1, max_size=10)
+
+
+@PROPERTY
+@given(st.integers(0, 4), WIDE_COEFFS)
+@example(0, [1.0, 2.0])  # degree 1
+@example(0, [-3.0 + 1j, 1e150])  # degree 1, widely scaled
+@example(3, [2.5])  # the monomial 2.5 z^3
+@example(2, [complex(-0.0, -0.0), 1e-150, 0j, 1j])  # a signed zero inside the run
+def test_roots_equal_numpy_roots_bit_for_bit(zeros, cs):
+    cs = [0j] * zeros + cs
+    try:
+        want = tuple(map(complex, np.roots(cs[::-1])))
+    except np.linalg.LinAlgError:
+        with pytest.raises(RootFindingFailure):
+            Poly(cs).roots()
+    else:
+        assert repr(Poly(cs).roots()) == repr(want)  # repr tells -0.0 from 0.0
+
+
+# coefficients around the 1e-12 trim cut: signed zeros, values just inside
+# and outside it, the smallest subnormal, moduli 1e-150 to 1e150, overflow
+TRIM_COEFFS = st.lists(
+    st.sampled_from([0j, complex(-0.0, -0.0), complex(0.0, -0.0), 1.0, -1j,
+                     1e-12, 1.0000001e-12, 9.999999e-13, 5e-324,
+                     math.inf, math.nan, complex(1.5e308, 1.5e308)])
+    | st.builds(lambda s, z: s * z, st.sampled_from([1.0, 1e-12, 1e-150, 1e150]), SCALARS),
+    min_size=1, max_size=8)
+# P1's pole at infinity cancels when num's top coefficient is 2 den_lead
+CANCEL_OFFSETS = st.sampled_from([None, 0.0, 1e-14, 1e-6])
+
+
+@PROPERTY
+@given(TRIM_COEFFS, LEADS, st.lists(st.sampled_from(POLE_POOL), min_size=8, max_size=8),
+       CANCEL_OFFSETS)
+@example([complex(-0.0, -0.0), 1.0], 1.0, [0j] * 8, None)  # a cut -0.0 comes back 0.0
+@example([1e-13, 1.0, -1e-13j], 1.0, [0j] * 8, None)  # tiny ones, top cut
+@example([2.0, 1.0], 1.0, [1 + 0j] * 8, 0.0)  # 2 D - N cancels at w = 0
+@example([1.0, math.inf], 1.0, [0j] * 8, None)  # overflow
+def test_trim_decisions_agree_with_whole_trimmed_polys(cs, lead, poles, offset):
+    if offset is not None:
+        cs = cs[:-1] + [2 * lead * (1.0 + offset)]
+    p = Poly(cs)
+    p1 = None if p.is_zero else RationalFn(p, lead, tuple(poles[:p.degree + 1]))
+    try:
+        want = reference_trimmed(p)
+    except ValueError:
+        with pytest.raises(ValueError, match="coefficient overflow"):
+            p.trimmed()
+        with pytest.raises(ValueError, match="coefficient overflow"):
+            _top_trimmed(p)
+    else:
+        got = p.trimmed()
+        assert repr(got) == repr(want)
+        cut = len(want.coeffs) < len(p.coeffs) or 0 in want.coeffs
+        assert (got is p) is not cut  # self exactly when nothing was cut
+        assert all(repr(c) == "0j" for c in got.coeffs if c == 0)
+        assert repr(_top_trimmed(p)) == repr(reference_top_trimmed(p))
+    if p1 is None:
+        return
+    # deg den - deg num = 1: infinity reads 2 D - N at w = 0
+    ode = SecondOrderODE(p1, ZERO_RATIONAL)
+    try:
+        want_o1 = reference_infinity_pole(p1)
+    except ValueError:
+        with pytest.raises(ValueError, match="coefficient overflow"):
+            _infinity_pole_orders(ode)
+    else:
+        assert _infinity_pole_orders(ode)[0] == want_o1
