@@ -1,7 +1,7 @@
 """Hyperelliptic curve bookkeeping for y^2 = z^n +- 1, n >= 5.
 
 Genus and parity from the degree, singularities as roots of unity, the
-integer-shifted root representation, and monic polynomial expansion.
+integer-shifted root representation, the polynomial product, monic expansion.
 Arithmetic is plain Python; Poly.roots hands np.roots's companion matrix to eigvals.
 """
 
@@ -129,11 +129,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:
             return Poly.zero()
-        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(tuple(out))
+        return Poly(_product(self.coeffs, other.coeffs))
 
     def scaled(self, s: complex) -> "Poly":
         return Poly(tuple(s * c for c in self.coeffs))
@@ -181,6 +177,16 @@ def _size_scan(coeffs, tol: float = COEFF_TRIM_TOL) -> tuple:
     if not all(map(math.isfinite, sizes)):
         raise ValueError(f"coefficient overflow: {list(coeffs)}")
     return sizes, tol * max(sizes, default=0.0)
+
+
+def _product(a, b) -> list:
+    """Coefficients of the product of two coefficient sequences (lowest first):
+    the one general polynomial product, each entry summed from 0j by row of a."""
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b, i):
+            out[k] += x * y
+    return out
 
 
 def expand_poly(roots) -> Poly:

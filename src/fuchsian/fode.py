@@ -21,8 +21,8 @@ from functools import cached_property
 
 # RootFindingFailure is raised by Poly.roots and re-exported here
 from .curves import (
-    COEFF_TRIM_TOL, CurveSpec, DegreeTooSmall, Poly, RootFindingFailure, _size_scan,
-    expand_poly)
+    COEFF_TRIM_TOL, CurveSpec, DegreeTooSmall, Poly, RootFindingFailure, _product,
+    _size_scan, expand_poly)
 from .moebius import INFINITY
 
 # root clustering radius for cancellation / multiplicity counting
@@ -285,18 +285,8 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
     g = math.ceil(n / 2) - 1
     ratio = Fraction(2 * g + 2, 2 * g + 1)
     df = f.derivative()
-    fp, fpp = df.coeffs, df.derivative().coeffs
-    # N = (3/16)(f'^2 - ratio f'' f); its top coefficient cancels for even n.
-    # Both products sum in Poly.__mul__'s order, so N matches the Poly
-    # expression to the bit
-    sq = [0j] * (2 * len(fp) - 1)
-    for i, a in enumerate(fp):
-        for k, b in enumerate(fp, i):
-            sq[k] += a * b
-    cross = [0j] * (len(fpp) + n)
-    for i, a in enumerate(fpp):
-        for k, b in enumerate(f.coeffs, i):
-            cross[k] += a * b
+    # N = (3/16)(f'^2 - ratio f'' f); its top coefficient cancels for even n
+    sq, cross = _product(df.coeffs, df.coeffs), _product(df.derivative().coeffs, f.coeffs)
     q = float(ratio)
     num = _top_trimmed(Poly([3.0 / 16.0 * (x + -1.0 * (q * y)) for x, y in zip(sq, cross)]))
     # N(r) = (3/16) f'(r)^2 != 0 at each simple root r of f: nothing cancels
@@ -324,39 +314,14 @@ def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderOD
     return SecondOrderODE(p1, p2, params={"k1": k1, "k2": k2, "s": s})
 
 
-def _two_d_minus_n(p: RationalFn) -> list:
-    """2 D(w) - N(w) as a list for p(1/w) = w^(deg den - deg num) N(w)/D(w), where
-    D = lead * prod(1 - r w) over the nonzero poles and N = w^deg num(1/w).
-
-    D is multiplied out in one list; each entry sums from 0j in the order
-    the Poly product (lead) * (1 - r w) * ... uses, so the coefficients
-    equal those of the Poly expression 2 D - N to the bit."""
-    one = complex(1.0)
-    d = [complex(p.den_lead)]
-    for r in p.den_roots:
-        if r != 0:
-            nr = complex(-r)
-            d.append(0j + d[-1] * nr)
-            for k in range(len(d) - 2, 0, -1):
-                d[k] = (0j + d[k - 1] * nr) + d[k] * one
-            d[0] = 0j + d[0] * one
-    n = Poly(p.num.coeffs[::-1]).coeffs  # Poly drops num's low-order zeros
-    h = [2.0 * c for c in d]
-    for k, c in enumerate(n):
-        neg = -1.0 * c
-        if k < len(h):
-            h[k] = h[k] + neg
-        else:
-            h.append(neg)
-    return h
-
-
 def _infinity_pole_orders(ode: SecondOrderODE) -> tuple:
     """Pole orders at w = 0 of P1 = 2/w - p1(1/w)/w^2 and P2 = p2(1/w)/w^4.
 
-    Writing p(1/w) = w^(deg den - deg num) N(w)/D(w) with N(0), D(0) != 0
-    makes the orders pure degree arithmetic, with one cancellation check for
-    P1 when the exponent is exactly -1.
+    Writing p(1/w) = w^(deg den - deg num) N(w)/D(w), where N(w) = w^deg num num(1/w)
+    and D(w) = den_lead * prod(1 - r w) over the nonzero poles (so N(0), D(0) != 0),
+    makes the orders pure degree arithmetic.  The one check is P1 at exponent -1:
+    there P1 = (2 D - N)/(w D), and its pole survives iff the constant term of
+    2 D - N is above the trim cut (see _size_scan) of 2 D - N's coefficients.
     """
     p1, p2 = ode.p1, ode.p2
     if p2.is_zero:
@@ -371,8 +336,15 @@ def _infinity_pole_orders(ode: SecondOrderODE) -> tuple:
         if e1 >= 0:
             o1 = 1
         elif e1 == -1:
-            # P1 = (2 D - N)/(w D); the pole cancels where trimming zeros 2D - N at 0
-            sizes, cut = _size_scan(_two_d_minus_n(p1))
+            d = [complex(p1.den_lead)]
+            for r in p1.den_roots:
+                if r != 0:
+                    d = _product(d, (1 + 0j, -r))
+            n = p1.num.coeffs[::-1]
+            h = [2.0 * c for c in d] + [0j] * (len(n) - len(d))
+            for k, c in enumerate(n):
+                h[k] -= c
+            sizes, cut = _size_scan(h)
             o1 = 1 if sizes[0] > cut else 0
         else:
             o1 = -e1

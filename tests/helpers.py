@@ -8,7 +8,7 @@ import pathlib
 from fractions import Fraction
 
 from fuchsian.curves import COEFF_TRIM_TOL, Poly
-from fuchsian.fode import ROOT_MATCH_TOL, PointClass, PointKind, _two_d_minus_n
+from fuchsian.fode import ROOT_MATCH_TOL, PointClass, PointKind
 from fuchsian.moebius import INFINITY
 from fuchsian.report import round_sig
 
@@ -93,12 +93,6 @@ def reference_top_trimmed(p):
     return Poly(p.coeffs[:reference_trimmed(p).degree + 1])
 
 
-def reference_infinity_pole(p1):
-    """1 if P1 keeps its simple pole at infinity when deg den - deg num = 1,
-    i.e. if 2 D - N keeps its constant term after trimming, else 0."""
-    return 1 if reference_trimmed(Poly(_two_d_minus_n(p1))).coeffs[0] != 0 else 0
-
-
 # --- reference classification -------------------------------------------------
 # The classification restated the plain way: every pole scanned once per
 # point, every pole of p1 and p2 deduplicated in turn, and D(w) at infinity
@@ -137,10 +131,14 @@ def reference_infinity_orders(ode):
         return 1, o2
     if e1 < -1:
         return -e1, o2
-    N = Poly(p1.num.coeffs[::-1])
-    D = _one_sided(p1.den_roots, p1.den_lead)
-    h = reference_trimmed(D.scaled(2.0) - N)
-    return (1 if h.coeffs[0] != 0 else 0), o2
+    return reference_infinity_pole(p1), o2
+
+
+def reference_infinity_pole(p1):
+    """1 if P1 keeps its simple pole at infinity when deg den - deg num = 1,
+    i.e. if 2 D - N keeps its constant term after trimming, else 0."""
+    D, N = _one_sided(p1.den_roots, p1.den_lead), Poly(p1.num.coeffs[::-1])
+    return 1 if reference_trimmed(D.scaled(2.0) - N).coeffs[0] != 0 else 0
 
 
 def reference_kind(o1, o2):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pathlib
 
@@ -5,7 +6,9 @@ import pytest
 
 import fuchsian
 
-PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+MODULES = sorted((ROOT / "src" / "fuchsian").glob("*.py"))
 
 
 def test_pyproject_names_the_package_and_its_version():
@@ -46,3 +49,26 @@ def test_deleted_api_is_gone(module, name):
 
 def test_poly_variable_is_gone():
     assert not hasattr(fuchsian.Poly, "variable")
+
+
+def _unused_imports(tree):
+    """Names bound by an import statement that no Name node of the module reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+# imported only to be re-exported: the package's public names, and
+# RootFindingFailure, which fode hands on from curves (its import says so)
+REEXPORTED = {"__init__": set(fuchsian.__all__), "fode": {"RootFindingFailure"}}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[m.stem for m in MODULES])
+def test_no_module_imports_a_name_it_never_uses(path):
+    unused = _unused_imports(ast.parse(path.read_text(), str(path)))
+    assert sorted(unused - REEXPORTED.get(path.stem, set())) == []

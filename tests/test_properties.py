@@ -5,6 +5,7 @@ rational-function cancellation, singular-point classification."""
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from fuchsian.curves import Poly, RootFindingFailure, expand_poly
 from fuchsian.embed import genus_range
 from fuchsian.fode import (
     ZERO_RATIONAL, PointKind, RationalFn, SecondOrderODE, _infinity_pole_orders,
-    _top_trimmed, is_fuchsian, rational_fn, singular_points)
+    _top_trimmed, is_fuchsian, rational_fn, singular_points, whittaker_equation)
 from fuchsian.hyperbolic import ModelPoint, distance, geodesic_midpoint, half_turn
 from fuchsian.moebius import (
     INFINITY, MoebiusMap, apply, compose, is_infinity, is_projectively_identity)
@@ -168,6 +169,25 @@ def test_expand_poly_equals_the_repeated_product(roots):
 
 def test_expand_poly_of_no_roots_is_one():
     assert expand_poly([]) == Poly.one()
+
+
+# 5 to 12 roots, one in each of as many equal angular sectors, at radius 0.5
+# to 2 and at most 0.4 of a sector from its middle: any two are over 0.05 apart
+SECTOR_ROOTS = st.integers(5, 12).flatmap(lambda n: st.lists(
+    st.tuples(st.floats(0.5, 2.0), st.floats(-0.4, 0.4)), min_size=n, max_size=n).map(
+    lambda draws: [cmath.rect(rho, 2.0 * math.pi * (k + t) / n)
+                   for k, (rho, t) in enumerate(draws)]))
+
+
+@PROPERTY
+@given(SECTOR_ROOTS, SCALARS)
+@example([1.0, 1j, -1.0, -1j, 0.5 + 0.5j, -0.5 - 0.5j], 1.0)  # even: the top cancels
+def test_whittaker_numerator_is_the_poly_expression(roots, lead):
+    f = expand_poly(roots).scaled(lead)
+    g = (len(roots) - 1) // 2
+    df = f.derivative()
+    want = df * df - (df.derivative() * f).scaled(float(Fraction(2 * g + 2, 2 * g + 1)))
+    assert repr(whittaker_equation(f).p2.num) == repr(_top_trimmed(want.scaled(3 / 16)))
 
 
 @PROPERTY
