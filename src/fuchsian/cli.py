@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -30,14 +31,17 @@ from .report import (
 _SVG_SIZE = 480
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option starts with -<digit>, so -1,2 and -1e-3 are RE,IM values;
+        # a private argparse attribute (Python 3.10-3.13) that matches only
+        # plain decimals such as -1 and -.5 unless replaced
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # raise instead of exiting so run() can own the exit code
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _complex_arg(text: str) -> complex:
@@ -127,16 +131,11 @@ def _build_parser() -> _Parser:
 
 def run(argv=None) -> int:
     """Parse argv and execute; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.run(args)
     except (IndexOutOfRange, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,14 +17,6 @@ from .hyperbolic import Tessellation
 COEFF_TRIM_TOL = 1e-12
 
 
-class DegreeTooSmall(ValueError):
-    """Hyperelliptic here means degree at least 5."""
-
-
-class RootFindingFailure(ValueError):
-    """The companion matrix of a polynomial is not finite (coefficient overflow)."""
-
-
 class Parity(Enum):
     ODD = "odd"
     EVEN = "even"
@@ -50,7 +42,7 @@ class CurveSpec:
 
 def curve_from_degree(n: int, sign: int = -1) -> CurveSpec:
     if n < 5:
-        raise DegreeTooSmall(f"degree {n} < 5")
+        raise ValueError(f"degree {n} < 5")
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     if n % 2:
@@ -72,7 +64,7 @@ def integer_roots(n: int) -> list:
     Odd n: symmetric about 0.  Even n: one extra on the positive side.
     """
     if n < 5:
-        raise DegreeTooSmall(f"degree {n} < 5")
+        raise ValueError(f"degree {n} < 5")
     lo = -((n - 1) // 2)
     return list(range(lo, lo + n))
 
@@ -156,7 +148,7 @@ class Poly:
         try:
             found = np.linalg.eigvals(a)
         except np.linalg.LinAlgError as exc:
-            raise RootFindingFailure(f"root finding failed: {exc}") from exc
+            raise ValueError(f"root finding failed: {exc}") from exc
         return (*map(complex, found), *(0j,) * k)
 
     def trimmed(self, tol: float = COEFF_TRIM_TOL) -> "Poly":

@@ -9,10 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class BadDimensions(ValueError):
-    """Both part sizes must be at least 2."""
-
-
 @dataclass(frozen=True)
 class GenusRange:
     g_min: int
@@ -22,6 +18,6 @@ class GenusRange:
 def genus_range(m: int, n: int) -> GenusRange:
     """Smallest and largest genus of an orientable surface 2-cell embedding K_{m,n}."""
     if m < 2 or n < 2:
-        raise BadDimensions(f"need m, n >= 2, got {m}, {n}")
+        raise ValueError(f"need m, n >= 2, got {m}, {n}")
     # ceiling as minus the floor of the negation
     return GenusRange(g_min=-(-(m - 2) * (n - 2) // 4), g_max=(m - 1) * (n - 1) // 2)

@@ -19,10 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-# RootFindingFailure is raised by Poly.roots and re-exported here
-from .curves import (
-    COEFF_TRIM_TOL, CurveSpec, DegreeTooSmall, Poly, RootFindingFailure, _product,
-    _size_scan, expand_poly)
+from .curves import COEFF_TRIM_TOL, CurveSpec, Poly, _product, _size_scan, expand_poly
 from .moebius import INFINITY
 
 # root clustering radius for cancellation / multiplicity counting
@@ -31,26 +28,6 @@ ROOT_MATCH_TOL = 1e-9
 # numerically splits by about sqrt(machine eps * coefficient scale), up to
 # ~1e-7, so the repeated-root detector must sit well above that
 DISTINCT_ROOT_TOL = 1e-6
-
-
-class DuplicateXi(ValueError):
-    pass
-
-
-class UnknownName(ValueError):
-    pass
-
-
-class BadParamCount(ValueError):
-    pass
-
-
-class RepeatedRoots(ValueError):
-    pass
-
-
-class UnsupportedDegree(ValueError):
-    pass
 
 
 def _match_tol(z: complex) -> float:
@@ -218,11 +195,11 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
     canonical = {k.lower(): k for k in _NAMED_PARAM_COUNTS}
     key = canonical.get(str(name).lower())
     if key is None:
-        raise UnknownName(f"no equation named {name!r}")
+        raise ValueError(f"no equation named {name!r}")
     params = [complex(p) for p in params]
     want = _NAMED_PARAM_COUNTS[key]
     if len(params) != want:
-        raise BadParamCount(f"{key} takes {want} parameter(s), got {len(params)}")
+        raise ValueError(f"{key} takes {want} parameter(s), got {len(params)}")
 
     if key in ("Legendre", "Tchebychev"):
         lam = params[0]
@@ -237,7 +214,7 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
         except OverflowError:  # finite parts, modulus past the float range
             raise ValueError(f"Heun pole a = {a} has a modulus past the float range") from None
         if coincide:
-            raise DuplicateXi(f"Heun pole a = {a} coincides with 0 or 1")
+            raise ValueError(f"Heun pole a = {a} coincides with 0 or 1")
         num = (expand_poly([1.0, a]).scaled(ga)
                + expand_poly([0.0, a]).scaled(de)
                + expand_poly([0.0, 1.0]).scaled(ep))
@@ -275,13 +252,13 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
     f = _top_trimmed(f)
     n = f.degree
     if n < 5:
-        raise DegreeTooSmall(f"deg f = {n} < 5")
+        raise ValueError(f"deg f = {n} < 5")
     roots = f.roots()
     for i, r in enumerate(roots):
         tol = DISTINCT_ROOT_TOL * (1.0 + abs(r))
         for other in roots[i + 1:]:
             if abs(r - other) <= tol:
-                raise RepeatedRoots(f"roots {r} and {other} coincide")
+                raise ValueError(f"roots {r} and {other} coincide")
     g = math.ceil(n / 2) - 1
     ratio = Fraction(2 * g + 2, 2 * g + 1)
     df = f.derivative()
@@ -306,10 +283,11 @@ def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderOD
     """
     n = c.degree
     if not 5 <= n <= 8:
-        raise UnsupportedDegree(f"degree {n} not in 5..8")
+        raise ValueError(f"degree {n} not in 5..8")
     s = -1.0 if n % 2 else 1.0
     k1, k2 = complex(k1), complex(k2)
-    p1 = _build_rational(Poly((2.0 - k1 * s, k1)), 1.0, [s])
+    # the residue of p1 at s is exactly 2, so nothing cancels however large k1 is
+    p1 = RationalFn(Poly((2.0 - k1 * s, k1)).trimmed(), 1.0, (complex(s),))
     p2 = _build_rational(Poly((k2,)), 1.0, []) if k2 != 0 else ZERO_RATIONAL
     return SecondOrderODE(p1, p2, params={"k1": k1, "k2": k2, "s": s})
 

@@ -17,28 +17,8 @@ from .moebius import (
 )
 
 
-class ModelMismatch(ValueError):
-    """Operands live in different models (or the wrong model)."""
-
-
-class InvalidPoint(ValueError):
-    """Point violates the model constraint (|z| < 1 resp. Im z > 0)."""
-
-
-class CoincidentPoints(ValueError):
-    pass
-
-
 class NotHyperbolic(ValueError):
     """(p-2)(q-2) < 4: the {p,q} pattern does not fit the hyperbolic plane."""
-
-
-class NonIntegerVertexCycle(ValueError):
-    """q does not divide p, so p/q vertices is not an integer."""
-
-
-class OddSides(ValueError):
-    """Side pairing needs an even number of polygon sides."""
 
 
 class Model(Enum):
@@ -55,9 +35,9 @@ class ModelPoint:
         z = complex(self.z)
         object.__setattr__(self, "z", z)
         if self.model is Model.DISK and abs(z) >= 1.0:
-            raise InvalidPoint(f"|{z}| >= 1 is not inside the disk")
+            raise ValueError(f"|{z}| >= 1 is not inside the disk")
         if self.model is Model.HALF_PLANE and z.imag <= 0.0:
-            raise InvalidPoint(f"Im({z}) <= 0 is not in the upper half-plane")
+            raise ValueError(f"Im({z}) <= 0 is not in the upper half-plane")
 
     @classmethod
     def disk(cls, z) -> "ModelPoint":
@@ -70,7 +50,7 @@ class ModelPoint:
 
 def _same_model(x: ModelPoint, y: ModelPoint):
     if x.model is not y.model:
-        raise ModelMismatch(f"{x.model.value} vs {y.model.value}")
+        raise ValueError(f"{x.model.value} vs {y.model.value}")
 
 
 def distance(x: ModelPoint, y: ModelPoint) -> float:
@@ -88,7 +68,7 @@ def geodesic_midpoint(x: ModelPoint, y: ModelPoint) -> ModelPoint:
     """The point halfway along the geodesic segment from x to y."""
     _same_model(x, y)
     if x.z == y.z:
-        raise CoincidentPoints("midpoint of a single point is ill-defined")
+        raise ValueError("midpoint of a single point is ill-defined")
     if x.model is Model.HALF_PLANE:
         m = geodesic_midpoint(
             ModelPoint.disk(halfplane_point_to_disk(x.z)),
@@ -108,7 +88,7 @@ def half_turn(p: ModelPoint) -> MoebiusMap:
     Closed form [[-(1+|p|^2), 2p], [-2 conj(p), 1+|p|^2]]; trace 0, elliptic.
     """
     if p.model is not Model.DISK:
-        raise ModelMismatch("half_turn is defined on disk points")
+        raise ValueError("half_turn is defined on disk points")
     r2 = abs(p.z) ** 2
     return MoebiusMap(-(1.0 + r2), 2.0 * p.z, -2.0 * p.z.conjugate(), 1.0 + r2)
 
@@ -163,9 +143,9 @@ def tessellation_topology(t: Tessellation) -> SurfaceTopology:
     sides are glued in pairs, one face.
     """
     if t.p % 2 != 0:
-        raise OddSides(f"p = {t.p} is odd; sides cannot pair up")
+        raise ValueError(f"p = {t.p} is odd; sides cannot pair up")
     if t.p % t.q != 0:
-        raise NonIntegerVertexCycle(f"q = {t.q} does not divide p = {t.p}")
+        raise ValueError(f"q = {t.q} does not divide p = {t.p}")
     V = t.p // t.q
     E = t.p // 2
     F = 1

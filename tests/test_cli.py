@@ -195,16 +195,55 @@ def test_closed_stdout_exits_without_traceback():
 
 
 def test_root_finding_overflow_is_a_domain_error():
-    # finite --k1 whose coefficient ratio overflows inside the root finder
+    # finite --params whose coefficient ratio overflows inside the root finder
     src = pathlib.Path(fuchsian.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-m", "fuchsian.cli", "ode", "build", "--degree", "5",
-         "--k1", "1e308,1e308"],
+        [sys.executable, "-m", "fuchsian.cli", "ode", "classify", "--named",
+         "Hypergeometric", "--params", "1e308,1e308", "0", "1e308,1e308"],
         capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: root finding failed")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ode", "build", "--degree", "4"], "degree 4 < 5"),
+    (["ode", "build", "--degree", "9"], "degree 9 not in 5..8"),
+    (["tessellation", "--degree", "4"], "degree 4 < 5"),
+    (["genus-range", "1", "5"], "need m, n >= 2, got 1, 5"),
+    (["ode", "classify", "--named", "Foo"], "no equation named 'Foo'"),
+    (["ode", "classify", "--named", "Heun", "--params", "1"],
+     "Heun takes 7 parameter(s), got 1"),
+    (["ode", "classify", "--named", "Heun", "--params", "1", "2", "3", "4", "5", "0", "1"],
+     "Heun pole a = 0j coincides with 0 or 1"),
+], ids=["build-4", "build-9", "tessellation-4", "genus-range", "unknown-name",
+        "param-count", "heun-a-0"])
+def test_domain_error_prints_its_message_on_one_line(capsys, argv, message):
+    assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("pq, note", [
+    ("5,5", "p = 5 is odd; sides cannot pair up"),
+    ("6,4", "q = 4 does not divide p = 6"),
+])
+def test_tessellation_topology_note_names_the_failed_rule(capsys, pq, note):
+    rc, out, _ = invoke(capsys, "tessellation", "--pq", pq)
+    doc = json.loads(out)
+    assert rc == 0 and doc["topology"] is None and doc["topology_note"] == note
+
+
+@pytest.mark.parametrize("argv, field, value", [
+    (["classify", "--named", "Legendre", "--params", "-1,2"], "params", [[-1.0, 2.0]]),
+    (["classify", "--named", "Legendre", "--params", "-1e-3"], "params", [[-0.001, 0.0]]),
+    (["classify", "--named", "Hypergeometric", "--params", "0.5", "-1,1", "2"],
+     "params", [[0.5, 0.0], [-1.0, 1.0], [2.0, 0.0]]),
+    (["build", "--degree", "5", "--k1", "-1,2"], "k1", [-1.0, 2.0]),
+], ids=["re-im", "exponent", "middle-param", "k1"])
+def test_negative_real_parts_are_values_not_options(capsys, argv, field, value):
+    rc, out, err = invoke(capsys, "ode", *argv)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)[field] == value
 
 
 @pytest.mark.parametrize("argv", [

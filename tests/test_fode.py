@@ -7,19 +7,13 @@ import numpy as np
 import pytest
 
 from fuchsian import curves, fode, report
-from fuchsian.curves import DegreeTooSmall, Poly, curve_from_degree, expand_poly
+from fuchsian.curves import Poly, curve_from_degree, expand_poly
 from fuchsian.fode import (
     ZERO_RATIONAL,
-    BadParamCount,
-    DuplicateXi,
     PointClass,
     PointKind,
     RationalFn,
-    RepeatedRoots,
-    RootFindingFailure,
     SecondOrderODE,
-    UnknownName,
-    UnsupportedDegree,
     curve_ode,
     is_fuchsian,
     named_equation,
@@ -81,7 +75,6 @@ def test_zero_rational():
 def test_rational_fn_stores_an_expanded_numerator():
     assert [f.name for f in dataclasses.fields(RationalFn)] == \
         ["num", "den_lead", "den_roots"]
-    assert RootFindingFailure is curves.RootFindingFailure
 
 
 def _rational_samples():
@@ -143,7 +136,7 @@ def test_heun():
 @pytest.mark.parametrize("a", [0.0, 1.0, 1e-12, 1.0 + 1e-12j])
 def test_heun_third_pole_must_differ_from_0_and_1(a):
     # a merged pole would leave a three-point equation labelled Heun
-    with pytest.raises(DuplicateXi):
+    with pytest.raises(ValueError, match="coincides with 0 or 1"):
         named_equation("Heun", [1.0, 2.0, 3.0, 4.0, 5.0, a, 1.0])
     named_equation("Heun", [1.0, 2.0, 3.0, 4.0, 5.0, a + 1e-3, 1.0])
 
@@ -158,11 +151,11 @@ def test_whittaker_hypergeometric():
 
 
 def test_named_equation_errors():
-    with pytest.raises(UnknownName):
+    with pytest.raises(ValueError, match="no equation named 'Bessel'"):
         named_equation("Bessel")
-    with pytest.raises(BadParamCount):
+    with pytest.raises(ValueError, match=r"Legendre takes 1 parameter\(s\), got 2"):
         named_equation("Legendre", [1.0, 2.0])
-    with pytest.raises(BadParamCount):
+    with pytest.raises(ValueError, match=r"Heun takes 7 parameter\(s\), got 1"):
         named_equation("Heun", [1.0])
 
 
@@ -230,9 +223,9 @@ def test_whittaker_keeps_a_double_pole_at_every_small_root(f):
 def test_whittaker_degrees_and_errors():
     assert whittaker_equation(expand_poly([0, 1, 2, 3, 4, 5])).params["genus"] == 2
     assert whittaker_equation(expand_poly([0, 1, 2, 3, 4, 5, 6])).params["genus"] == 3
-    with pytest.raises(DegreeTooSmall):
+    with pytest.raises(ValueError, match="deg f = 2 < 5"):
         whittaker_equation(expand_poly([0.0, 1.0]))
-    with pytest.raises(RepeatedRoots):
+    with pytest.raises(ValueError, match="roots .* coincide"):
         whittaker_equation(expand_poly([0, 1, 1, 2, 3]))
 
 
@@ -307,15 +300,13 @@ def test_whittaker_numerator_is_exact():
 
 
 @pytest.mark.parametrize("build", [
-    # num(-1) = 0 sits within the trim noise, so the root finder runs
-    lambda: curve_ode(curve_from_degree(5), 1e308 + 1e308j),
-    # num(1) overflows to inf, which sends it to the root finder too
+    # num(1) overflows to inf, which sends it to the root finder
     lambda: named_equation("Hypergeometric", [-1e308 - 1e308j, 0, 1e308 + 1e308j]),
     # num(1) is finite but |num(1)| is past the float range
     lambda: named_equation("Hypergeometric", [0, -1e306 - 1e306j, 1.27e308 + 1.27e308j]),
-], ids=["curve_ode", "hypergeometric-inf", "hypergeometric-modulus"])
+], ids=["hypergeometric-inf", "hypergeometric-modulus"])
 def test_coefficient_ratio_overflow_is_a_root_finding_failure(build):
-    with pytest.raises(RootFindingFailure):
+    with pytest.raises(ValueError, match="root finding failed"):
         build()
 
 
@@ -327,8 +318,17 @@ def test_curve_ode_all_degrees():
         assert ode.p1.pole_order(s) == 1
         assert finite_locations(ode) == [s]
         assert is_fuchsian(ode)
-    with pytest.raises(UnsupportedDegree):
+    with pytest.raises(ValueError, match=r"degree 9 not in 5\.\.8"):
         curve_ode(curve_from_degree(9))
+
+
+@pytest.mark.parametrize("k1", [2e12, 1e13, 1e308 + 1e308j])
+def test_curve_ode_keeps_its_pole_for_large_k1(k1):
+    # the residue 2 at s = -1 is tiny beside |k1| but never cancels
+    ode = curve_ode(curve_from_degree(5), k1)
+    assert [(p.location, p.kind) for p in singular_points(ode)] == [
+        (-1.0, PointKind.REGULAR_SINGULAR), (INFINITY, PointKind.IRREGULAR_SINGULAR)]
+    assert not is_fuchsian(ode)
 
 
 def test_curve_ode_coefficients():

@@ -5,14 +5,9 @@ import numpy as np
 import pytest
 
 from fuchsian.hyperbolic import (
-    CoincidentPoints,
-    InvalidPoint,
     Model,
-    ModelMismatch,
     ModelPoint,
-    NonIntegerVertexCycle,
     NotHyperbolic,
-    OddSides,
     Tessellation,
     distance,
     geodesic_midpoint,
@@ -26,9 +21,9 @@ from fuchsian.moebius import apply, compose, is_projectively_identity, normalize
 def test_point_validation():
     ModelPoint.disk(0.99j)
     ModelPoint.half_plane(2 + 0.01j)
-    with pytest.raises(InvalidPoint):
+    with pytest.raises(ValueError, match="is not inside the disk"):
         ModelPoint.disk(1.0)
-    with pytest.raises(InvalidPoint):
+    with pytest.raises(ValueError, match="is not in the upper half-plane"):
         ModelPoint.half_plane(1.0 - 0.1j)
 
 
@@ -41,9 +36,9 @@ def test_known_distances():
 
 
 def test_model_mixing_rejected():
-    with pytest.raises(ModelMismatch):
+    with pytest.raises(ValueError, match="disk vs half_plane"):
         distance(ModelPoint.disk(0), ModelPoint.half_plane(1j))
-    with pytest.raises(ModelMismatch):
+    with pytest.raises(ValueError, match="disk vs half_plane"):
         geodesic_midpoint(ModelPoint.disk(0), ModelPoint.half_plane(1j))
 
 
@@ -72,7 +67,7 @@ def test_distance_rotation_invariance():
 def test_midpoint():
     mid = geodesic_midpoint(ModelPoint.disk(0), ModelPoint.disk(0.8))
     assert abs(mid.z - 0.5) < 1e-12  # tanh(atanh(0.8)/2) = 1/2
-    with pytest.raises(CoincidentPoints):
+    with pytest.raises(ValueError, match="midpoint of a single point"):
         geodesic_midpoint(ModelPoint.disk(0.1), ModelPoint.disk(0.1))
 
 
@@ -103,7 +98,7 @@ def test_half_turn():
         assert abs(apply(m, p.z) - p.z) < 1e-10
         assert is_projectively_identity(compose(m, m))
         assert normalize(m).is_disk_isometry()
-    with pytest.raises(ModelMismatch):
+    with pytest.raises(ValueError, match="half_turn is defined on disk points"):
         half_turn(ModelPoint.half_plane(1j))
 
 
@@ -178,9 +173,9 @@ def test_topology_tuples():
 
 
 def test_topology_rejections():
-    with pytest.raises(OddSides):
+    with pytest.raises(ValueError, match="sides cannot pair up"):
         tessellation_topology(Tessellation(9, 3))
-    with pytest.raises(NonIntegerVertexCycle):
+    with pytest.raises(ValueError, match="q = 3 does not divide p = 8"):
         tessellation_topology(Tessellation(8, 3))
     with pytest.raises(ValueError):
         tessellation_topology(Tessellation(12, 6))  # chi = -3 is not 2 - 2g

@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fuchsian.curves import Poly, RootFindingFailure, expand_poly
+from fuchsian.curves import Poly, expand_poly
 from fuchsian.embed import genus_range
 from fuchsian.fode import (
     ZERO_RATIONAL, PointKind, RationalFn, SecondOrderODE, _infinity_pole_orders,
@@ -296,7 +296,7 @@ def test_roots_equal_numpy_roots_bit_for_bit(zeros, cs):
     try:
         want = tuple(map(complex, np.roots(cs[::-1])))
     except np.linalg.LinAlgError:
-        with pytest.raises(RootFindingFailure):
+        with pytest.raises(ValueError, match="root finding failed"):
             Poly(cs).roots()
     else:
         assert repr(Poly(cs).roots()) == repr(want)  # repr tells -0.0 from 0.0
