@@ -6,8 +6,9 @@ regular-singular-point classification on the extended plane.
 
 A rational function keeps its numerator expanded and its denominator factored
 (leading coefficient plus root list), so pole orders are exact multiplicity
-counts, read from a tally of the distinct roots; numerator roots are found
-only when a pole might cancel.
+counts, read from a tally of the distinct roots.  Every pole is known
+exactly, so a pole cancels by dividing the numerator by (z - s); the only
+root finding is of the Whittaker polynomial f.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 from .curves import COEFF_TRIM_TOL, CurveSpec, Poly, _product, _size_scan, expand_poly
 from .moebius import INFINITY
 
-# root clustering radius for cancellation / multiplicity counting
+# root clustering radius for multiplicity counting
 ROOT_MATCH_TOL = 1e-9
 # distinctness check on user polynomials: a genuine double root re-found
 # numerically splits by about sqrt(machine eps * coefficient scale), up to
@@ -89,43 +90,30 @@ def _tally_order(tally: dict, point: complex, tol: float) -> int:
 
 
 def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
-    """Cancel num roots against the factored denominator and assemble."""
+    """Divide num by (z - s) at each pole s where num(s) is finite and within
+    the trim noise COEFF_TRIM_TOL * max|c_k| * max(1, |s|)^deg of the current
+    num (Horner's partial sums are the quotient); keep s otherwise or on overflow."""
     num = num.trimmed()
-    den_roots = [complex(r) for r in den_roots]
     if complex(den_lead) == 0:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
         return ZERO_RATIONAL
-    scale = COEFF_TRIM_TOL * max(map(abs, num.coeffs))
-    noise = lambda s: scale * max(1.0, abs(s)) ** num.degree  # noqa: E731
-    try:  # |num(s)| above the noise at every pole: no cancellation, no roots
-        if all(cmath.isfinite(v := num(s)) and abs(v) > noise(s) for s in den_roots):
-            return RationalFn(num, complex(den_lead), tuple(den_roots))
-    except OverflowError:  # like a non-finite num(s), left to the root finder
-        pass
-    num_roots = list(num.roots())
-    remaining_den = []
-    for s in den_roots:
-        tol = _match_tol(s)
-        hit = next((i for i, r in enumerate(num_roots) if abs(r - s) <= tol), None)
-        # a root that matches but leaves num(s) above the trim noise is a pole
-        # with a small residue, not a cancellation
-        if hit is None or abs(num(s)) > noise(s):
-            remaining_den.append(s)
+    kept = []
+    for s in map(complex, den_roots):
+        acc, partial = 0j, []
+        for c in reversed(num.coeffs):
+            acc = acc * s + c
+            partial.append(acc)
+        try:
+            noise = COEFF_TRIM_TOL * max(map(abs, num.coeffs)) * max(1.0, abs(s)) ** num.degree
+            cancels = cmath.isfinite(acc) and abs(acc) <= noise
+        except OverflowError:  # finite parts, modulus past the float range
+            cancels = False
+        if cancels:
+            num = Poly(partial[-2::-1])
         else:
-            num_roots.pop(hit)
-    if len(remaining_den) < len(den_roots):
-        num = expand_poly(num_roots).scaled(num.coeffs[-1])
-    return RationalFn(num, complex(den_lead), tuple(remaining_den))
-
-
-def rational_fn(num: Poly, den: Poly) -> RationalFn:
-    """General constructor; den roots found numerically, its small low-order
-    coefficients kept since they place roots near 0."""
-    den = _top_trimmed(den)
-    if den.is_zero:
-        raise ZeroDivisionError("zero denominator")
-    return _build_rational(num, den.coeffs[-1], den.roots())
+            kept.append(s)
+    return RationalFn(num, complex(den_lead), tuple(kept))
 
 
 ZERO_RATIONAL = RationalFn(Poly.zero(), 1.0, ())
@@ -286,8 +274,8 @@ def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderOD
         raise ValueError(f"degree {n} not in 5..8")
     s = -1.0 if n % 2 else 1.0
     k1, k2 = complex(k1), complex(k2)
-    # the residue of p1 at s is exactly 2, so nothing cancels however large k1 is
-    p1 = RationalFn(Poly((2.0 - k1 * s, k1)).trimmed(), 1.0, (complex(s),))
+    # the residue at s is exactly 2 and k1 is exact: nothing cancels or is trimmed
+    p1 = RationalFn(Poly((2.0 - k1 * s, k1)), 1.0, (complex(s),))
     p2 = _build_rational(Poly((k2,)), 1.0, []) if k2 != 0 else ZERO_RATIONAL
     return SecondOrderODE(p1, p2, params={"k1": k1, "k2": k2, "s": s})
 

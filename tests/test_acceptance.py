@@ -14,11 +14,11 @@ from fuchsian.curves import Poly, curve_from_degree, expand_poly, integer_roots
 from fuchsian.embed import genus_range
 from fuchsian.fode import (
     PointKind,
+    RationalFn,
     SecondOrderODE,
     ZERO_RATIONAL,
     is_fuchsian,
     named_equation,
-    rational_fn,
     singular_points,
     whittaker_equation,
 )
@@ -229,7 +229,7 @@ def test_criterion_10(acceptance):
           [0.0, 1.0, 3.0])
 
     airy = SecondOrderODE(ZERO_RATIONAL,
-                          rational_fn(Poly((0.0, -1.0)), Poly.one()))
+                          RationalFn(Poly((0.0, -1.0)), 1.0, ()))
     if is_fuchsian(airy):
         problems.append("Airy-type accepted as fuchsian")
 

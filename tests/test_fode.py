@@ -14,10 +14,10 @@ from fuchsian.fode import (
     PointKind,
     RationalFn,
     SecondOrderODE,
+    _build_rational,
     curve_ode,
     is_fuchsian,
     named_equation,
-    rational_fn,
     singular_points,
     whittaker_equation,
 )
@@ -37,13 +37,14 @@ def assert_ordinary(ode, z):
 
 
 def test_rational_fn_cancellation():
-    f = rational_fn(expand_poly([1.0, -1.0]), expand_poly([1.0]))  # (z^2-1)/(z-1)
+    f = _build_rational(expand_poly([1.0, -1.0]), 1.0, [1.0])  # (z^2-1)/(z-1)
     assert f.pole_order(1.0) == 0
-    assert abs(f(3.0) - 4.0) < 1e-12  # reduced to z + 1
+    assert f.den_roots == ()
+    assert f.num.coeffs == (1, 1)  # Horner's quotient: exactly z + 1
 
 
 def test_rational_fn_pole_orders():
-    f = rational_fn(Poly.one(), expand_poly([1.0, 3.0]))  # 1/((z-1)(z-3))
+    f = RationalFn(Poly.one(), 1.0, (1.0, 3.0))  # 1/((z-1)(z-3))
     assert f.pole_order(1.0) == 1
     assert f.pole_order(3.0) == 1
     assert f.pole_order(0.0) == 0
@@ -57,7 +58,7 @@ def test_rational_fn_evaluation():
     rng = np.random.RandomState(51)
     num = Poly((1.0, 2.0, 1.0))
     den = expand_poly([2.0, -3.0])
-    f = rational_fn(num, den)
+    f = RationalFn(num, 1.0, (2.0, -3.0))
     for _ in range(20):
         z = complex(*rng.uniform(-5, 5, 2))
         ref = num(z) / den(z)
@@ -69,7 +70,7 @@ def test_zero_rational():
     assert ZERO_RATIONAL.pole_order(0.7) == 0
     assert ZERO_RATIONAL(2.0) == 0
     assert ZERO_RATIONAL.num.is_zero and ZERO_RATIONAL.den.coeffs == (1,)
-    assert rational_fn(Poly.zero(), expand_poly([1.0])) is ZERO_RATIONAL
+    assert _build_rational(Poly.zero(), 1.0, [1.0]) is ZERO_RATIONAL
 
 
 def test_rational_fn_stores_an_expanded_numerator():
@@ -78,9 +79,8 @@ def test_rational_fn_stores_an_expanded_numerator():
 
 
 def _rational_samples():
-    yield rational_fn(Poly((1.0, 2.0, 1.0)), expand_poly([2.0, -3.0]))
-    yield rational_fn(expand_poly([0.5j, 4.0]).scaled(2.0 - 1.0j),
-                      expand_poly([1.0, -1.0, 2.0j]).scaled(0.5))
+    yield RationalFn(Poly((1.0, 2.0, 1.0)), 1.0, (2.0, -3.0))
+    yield RationalFn(expand_poly([0.5j, 4.0]).scaled(2.0 - 1.0j), 0.5, (1.0, -1.0, 2.0j))
     for name, count in (("Legendre", 1), ("Tchebychev", 1), ("Heun", 7),
                         ("Hypergeometric", 3), ("WhittakerHypergeometric", 0)):
         # Heun's sixth parameter, 0.5+1.25j, is its third pole besides 0 and 1
@@ -160,7 +160,7 @@ def test_named_equation_errors():
 
 
 def test_airy_type_is_irregular():
-    ode = SecondOrderODE(ZERO_RATIONAL, rational_fn(Poly((0.0, -1.0)), Poly.one()))
+    ode = SecondOrderODE(ZERO_RATIONAL, RationalFn(Poly((0.0, -1.0)), 1.0, ()))
     pts = singular_points(ode)
     assert len(pts) == 1
     assert is_infinity(pts[0].location)
@@ -177,7 +177,7 @@ def test_trivial_equation_regular_at_infinity():
 
 def test_first_coefficient_cancellation_at_infinity():
     # p1 = 2/z makes the transformed first coefficient vanish at infinity
-    ode = SecondOrderODE(rational_fn(Poly((2.0,)), Poly((0.0, 1.0))), ZERO_RATIONAL)
+    ode = SecondOrderODE(RationalFn(Poly((2.0,)), 1.0, (0j,)), ZERO_RATIONAL)
     assert singular_points(ode) == [PointClass(0j, PointKind.REGULAR_SINGULAR),
                                     PointClass(INFINITY, PointKind.ORDINARY)]
 
@@ -255,21 +255,17 @@ def root_calls(monkeypatch):
 
 
 def test_classification_survives_common_factors(root_calls):
-    # multiplying num and den by the same polynomial re-reduces away
+    # multiplying num and den by the same factors divides them out again
     base = named_equation("Legendre", [2.0])
-    extra = expand_poly([5.0, -2.0 + 1.0j])
-    inflated = SecondOrderODE(
-        rational_fn(base.p1.num * extra, base.p1.den * extra),
-        rational_fn(base.p2.num * extra, base.p2.den * extra))
-    # a pole that may cancel sends the numerator to the root finder
-    assert len(root_calls) == 4  # two denominators, two numerators
-    for rf in (inflated.p1, inflated.p2):
-        assert sorted(r.real for r in rf.den_roots) == pytest.approx([-1.0, 1.0])
-    # the inflated poles sit about 1e-16 off +-1, so locations compare approximately
-    got, want = singular_points(inflated), singular_points(base)
-    assert [p.kind for p in got] == [p.kind for p in want]
-    assert [p.location for p in got[:-1]] == pytest.approx([p.location for p in want[:-1]])
-    assert is_infinity(got[-1].location)
+    extra = [5.0, -2.0 + 1.0j]
+    inflated = SecondOrderODE(*(
+        _build_rational(rf.num * expand_poly(extra), rf.den_lead, rf.den_roots + tuple(extra))
+        for rf in (base.p1, base.p2)))
+    # the poles are known exactly, so Horner's scheme cancels them without roots
+    assert root_calls == []
+    for rf, want in ((inflated.p1, base.p1), (inflated.p2, base.p2)):
+        assert rf.den_roots == want.den_roots == (1 + 0j, -1 + 0j)
+    assert singular_points(inflated) == singular_points(base)
     for z in (0.3, 5.0, -2.0 + 1.0j):
         assert_ordinary(inflated, z)
 
@@ -287,6 +283,18 @@ def test_named_and_curve_equations_find_no_roots(root_calls):
         params = [0.5 + 0.25j * k for k in range(count)]
         ode = named_equation(name, params)
         assert is_fuchsian(ode) and len(singular_points(ode)) == 3 + (name == "Heun")
+    # a numerator that vanishes at a pole cancels it by division, not by roots;
+    # ab = 0 and alpha = q = 0 make p2 = 0, so only p1's poles are singular
+    for name, params, want in (
+            ("Hypergeometric", [0.5 + 0.25j, 0, 0], [1]),  # c = 0
+            ("Hypergeometric", [0.5 + 0.25j, 0, 1.5 + 0.25j], [0]),  # c = 1 + a + b
+            ("Heun", [0, 2, 0, 4, 5, 2 + 1j, 0], [1, 2 + 1j]),  # gamma = 0
+            ("Heun", [0, 2, 3, 0, 5, 2 + 1j, 0], [0, 2 + 1j]),  # delta = 0
+            ("Heun", [0, 2, 3, 4, 0, 2 + 1j, 0], [0, 1])):  # epsilon = 0
+        ode = named_equation(name, params)
+        assert ode.p1.den_roots == tuple(map(complex, want))
+        assert [p.location for p in singular_points(ode)] == [*ode.p1.den_roots, INFINITY]
+        assert is_fuchsian(ode)
     for n, k1, k2 in ((5, 0j, 0j), (6, 0j, 0j), (7, 0.5 + 0.25j, 1j), (8, 2.0, 0j)):
         ode = curve_ode(curve_from_degree(n), k1, k2)
         assert is_fuchsian(ode) is (k1 == 0 and k2 == 0)
@@ -300,14 +308,16 @@ def test_whittaker_numerator_is_exact():
 
 
 @pytest.mark.parametrize("build", [
-    # num(1) overflows to inf, which sends it to the root finder
+    # num(1) overflows to inf
     lambda: named_equation("Hypergeometric", [-1e308 - 1e308j, 0, 1e308 + 1e308j]),
     # num(1) is finite but |num(1)| is past the float range
     lambda: named_equation("Hypergeometric", [0, -1e306 - 1e306j, 1.27e308 + 1.27e308j]),
 ], ids=["hypergeometric-inf", "hypergeometric-modulus"])
-def test_coefficient_ratio_overflow_is_a_root_finding_failure(build):
-    with pytest.raises(ValueError, match="root finding failed"):
-        build()
+def test_coefficient_ratio_overflow_keeps_the_poles(build):
+    # an overflowing num(s) cannot show that the pole cancels, so it stays
+    assert [(p.location, p.kind) for p in singular_points(build())] == [
+        (0j, PointKind.REGULAR_SINGULAR), (1 + 0j, PointKind.REGULAR_SINGULAR),
+        (INFINITY, PointKind.REGULAR_SINGULAR)]
 
 
 def test_curve_ode_all_degrees():
@@ -331,6 +341,15 @@ def test_curve_ode_keeps_its_pole_for_large_k1(k1):
     assert not is_fuchsian(ode)
 
 
+@pytest.mark.parametrize("k1", [1e-13, 2e-12, 1e-300j])
+def test_curve_ode_keeps_a_tiny_k1(k1):
+    # p1 = 2/(z + 1) + k1: any nonzero k1 leaves a double pole of P1 at infinity
+    ode = curve_ode(curve_from_degree(5), k1)
+    assert ode.p1.num.coeffs == (2 + k1, k1)
+    assert singular_points(ode)[-1] == PointClass(INFINITY, PointKind.IRREGULAR_SINGULAR)
+    assert not is_fuchsian(ode)
+
+
 def test_curve_ode_coefficients():
     ode = curve_ode(curve_from_degree(6), k1=1.0 + 0j, k2=2.0 + 0j)
     z = 4.0
@@ -346,7 +365,7 @@ def test_infinity_ordinary_with_finite_poles():
     # p1 = 1/z + 1/(z-1), p2 = 1/z^2 + 2/z + 1/(z-1)^2 - 2/(z-1) = 1/(z^2 (z-1)^2):
     # residues that meet the four Fuchsian restrictions push the decay at
     # infinity to fourth order, and 2 D - N cancels the P1 pole there
-    ode = SecondOrderODE(rational_fn(Poly((-1.0, 2.0)), expand_poly([0.0, 1.0])),
+    ode = SecondOrderODE(RationalFn(Poly((-1.0, 2.0)), 1.0, (0j, 1 + 0j)),
                          RationalFn(Poly.one(), 1.0, (0j, 0j, 1 + 0j, 1 + 0j)))
     assert is_fuchsian(ode)
     assert finite_locations(ode) == [0.0, 1.0]
@@ -355,7 +374,7 @@ def test_infinity_ordinary_with_finite_poles():
 
 def test_infinity_irregular_from_a_constant_p1():
     # no finite singular point; p1 = 1 leaves a double pole of P1 at infinity
-    ode = SecondOrderODE(rational_fn(Poly.one(), Poly.one()), ZERO_RATIONAL)
+    ode = SecondOrderODE(RationalFn(Poly.one(), 1.0, ()), ZERO_RATIONAL)
     pts = singular_points(ode)
     assert len(pts) == 1 and is_infinity(pts[0].location)
     assert pts[0].kind is PointKind.IRREGULAR_SINGULAR

