@@ -5,16 +5,18 @@ the Whittaker normal-form equation built from a polynomial f, and
 regular-singular-point classification on the extended plane.
 
 A rational function keeps its numerator expanded and its denominator factored
-(leading coefficient plus root list), so pole orders are exact multiplicity
-counts, read from a tally of the distinct roots.  Every pole is known
-exactly, so a pole cancels by dividing the numerator by (z - s); the only
-root finding is of the Whittaker polynomial f.
+(leading coefficient plus root list), so a pole order is the number of
+denominator roots equal to the point.  Every pole is known exactly, so a pole
+cancels by dividing the numerator by (z - s), and two poles are one point
+only when they are equal; the only root finding is of the Whittaker
+polynomial f.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -23,16 +25,14 @@ from functools import cached_property
 from .curves import COEFF_TRIM_TOL, CurveSpec, Poly, _product, _size_scan, expand_poly
 from .moebius import INFINITY
 
-# root clustering radius for multiplicity counting
+# named_equation rejects a Heun pole a within ROOT_MATCH_TOL of 0 or
+# 2 * ROOT_MATCH_TOL of 1 as coinciding with that pole; the classification
+# itself compares poles exactly
 ROOT_MATCH_TOL = 1e-9
 # distinctness check on user polynomials: a genuine double root re-found
 # numerically splits by about sqrt(machine eps * coefficient scale), up to
 # ~1e-7, so the repeated-root detector must sit well above that
 DISTINCT_ROOT_TOL = 1e-6
-
-
-def _match_tol(z: complex) -> float:
-    return ROOT_MATCH_TOL * (1.0 + abs(z))
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class RationalFn:
 
     num is the expanded numerator; den_lead * prod(z - r) over den_roots is
     the denominator, stored factored so that a double pole is two equal
-    roots.  den expands it for display.  Pole orders are read from
-    _pole_tally, the distinct denominator roots with their multiplicities.
+    roots.  den expands it for display.
     """
 
     num: Poly
@@ -65,28 +64,10 @@ class RationalFn:
             acc /= z - r
         return acc
 
-    @cached_property
-    def _pole_tally(self) -> dict:
-        """{distinct denominator root: multiplicity}; empty for the zero function."""
-        tally = {}
-        if not self.is_zero:
-            for r in self.den_roots:
-                tally[r] = tally.get(r, 0) + 1
-        return tally
-
     def pole_order(self, point: complex) -> int:
-        """Number of denominator roots within the match tolerance of point;
+        """Number of denominator roots equal to point, 0 for the zero function;
         the denominator holds no root that cancels against the numerator."""
-        return _tally_order(self._pole_tally, point, _match_tol(point))
-
-
-def _tally_order(tally: dict, point: complex, tol: float) -> int:
-    """Sum of the multiplicities of the tallied roots within tol of point."""
-    order = 0
-    for r, m in tally.items():
-        if abs(r - point) <= tol:
-            order += m
-    return order
+        return 0 if self.is_zero else self.den_roots.count(point)
 
 
 def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
@@ -144,19 +125,11 @@ class SecondOrderODE:
 
     @cached_property
     def _classified_points(self) -> tuple:
-        """Finite poles of p1 and p2 (deduplicated, sorted) plus infinity,
+        """Finite poles of p1 and p2 (equal ones merged, sorted) plus infinity,
         classified on first use and kept: the equation is immutable."""
-        t1, t2 = self.p1._pole_tally, self.p2._pole_tally
-        finite = []  # (pole, its match tolerance), first seen first
-        for r in (*t1, *t2):
-            for f, tol in finite:
-                if abs(r - f) <= tol:
-                    break
-            else:
-                finite.append((r, _match_tol(r)))
-        finite.sort(key=lambda ft: (round(ft[0].real, 9), round(ft[0].imag, 9)))
-        return (*(PointClass(z, _kind(_tally_order(t1, z, tol), _tally_order(t2, z, tol)))
-                  for z, tol in finite),
+        t1, t2 = (Counter(() if rf.is_zero else rf.den_roots) for rf in (self.p1, self.p2))
+        finite = sorted({**t1, **t2}, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+        return (*(PointClass(z, _kind(t1[z], t2[z])) for z in finite),
                 PointClass(INFINITY, _kind(*_infinity_pole_orders(self))))
 
 
@@ -198,7 +171,7 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
     elif key == "Heun":
         al, be, ga, de, ep, a, q = params
         try:
-            coincide = abs(a) <= _match_tol(0.0) or abs(a - 1.0) <= _match_tol(1.0)
+            coincide = abs(a) <= ROOT_MATCH_TOL or abs(a - 1.0) <= 2 * ROOT_MATCH_TOL
         except OverflowError:  # finite parts, modulus past the float range
             raise ValueError(f"Heun pole a = {a} has a modulus past the float range") from None
         if coincide:

@@ -242,7 +242,7 @@ def ode_report(ode: SecondOrderODE, **header) -> dict:
     """The `ode build` / `ode classify` document: the header fields, the
     rational coefficients, the singular points and the Fuchsian verdict."""
     def rational(rf):
-        return {"numerator": list(rf.num.trimmed().coeffs),
+        return {"numerator": list(rf.num.coeffs),
                 "denominator": list(rf.den.coeffs)}
 
     return {

@@ -8,7 +8,7 @@ import pathlib
 from fractions import Fraction
 
 from fuchsian.curves import COEFF_TRIM_TOL, Poly
-from fuchsian.fode import ROOT_MATCH_TOL, PointClass, PointKind
+from fuchsian.fode import PointClass, PointKind
 from fuchsian.moebius import INFINITY
 from fuchsian.report import round_sig
 
@@ -99,16 +99,11 @@ def reference_top_trimmed(p):
 # built as a product of Polys.
 
 
-def _match_tol(z):
-    return ROOT_MATCH_TOL * (1.0 + abs(z))
-
-
 def reference_pole_order(rf, point):
-    """Number of denominator roots within the match tolerance of point."""
+    """Number of denominator roots equal to point."""
     if rf.is_zero:
         return 0
-    tol = _match_tol(point)
-    return sum(1 for r in rf.den_roots if abs(r - point) <= tol)
+    return sum(1 for r in rf.den_roots if r == point)
 
 
 def _one_sided(poly_roots, lead):
@@ -150,14 +145,15 @@ def reference_kind(o1, o2):
 
 
 def reference_singular_points(ode):
-    """Finite poles of p1 then p2, deduplicated in order and sorted, plus
-    infinity, each classified from its pole orders."""
+    """Finite poles of p1 then p2, deduplicated by == in order (the first
+    seen stays) and sorted, plus infinity, each classified from its pole
+    orders."""
     finite = []
     for r in ode.p1.den_roots + ode.p2.den_roots:
-        if not any(abs(r - f) <= tol for f, tol in finite):
-            finite.append((r, _match_tol(r)))
-    finite.sort(key=lambda ft: (round(ft[0].real, 9), round(ft[0].imag, 9)))
+        if r not in finite:
+            finite.append(r)
+    finite.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     points = [PointClass(z, reference_kind(reference_pole_order(ode.p1, z),
                                            reference_pole_order(ode.p2, z)))
-              for z, _ in finite]
+              for z in finite]
     return points + [PointClass(INFINITY, reference_kind(*reference_infinity_orders(ode)))]

@@ -267,6 +267,36 @@ def test_overflowed_coefficient_is_a_domain_error(capsys, argv):
     assert err.startswith("error: coefficient overflow") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("a", ["1.0000000000000003e-9", "-1.0000000000000003e-9"])
+def test_heun_pole_just_past_the_coincidence_bound_is_regular(capsys, a):
+    # a is its own point; its pole orders count only the poles equal to a
+    rc, out, err = invoke(capsys, "ode", "classify", "--named", "Heun", "--params",
+                          "1", "2", "3", "4", "5", a, "0.5", "--precision", "17")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert [p["location"] for p in doc["singular_points"]] == [
+        *sorted([[0.0, 0.0], [float(a), 0.0], [1.0, 0.0]]), "infinity"]
+    assert [p["kind"] for p in doc["singular_points"]] == ["RegularSingular"] * 4
+    assert doc["fuchsian"] is True
+
+
+@pytest.mark.parametrize("k1, numerator", [
+    ("1e-13", [[2.0000000000001, 0.0], [1e-13, 0.0]]),
+    # finite parts, modulus past the float range: nothing needs the modulus
+    ("1.5e308,1.5e308", [[1.5e308, 1.5e308], [1.5e308, 1.5e308]]),
+])
+def test_printed_numerator_is_the_one_classified(capsys, k1, numerator):
+    # p1 = 2/(z + 1) + k1 keeps any nonzero k1, which makes infinity irregular
+    rc, out, err = invoke(capsys, "ode", "build", "--degree", "5", "--k1", k1,
+                          "--precision", "17")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["p1"]["numerator"] == numerator
+    assert doc["singular_points"][-1] == {"kind": "IrregularSingular",
+                                          "location": "infinity"}
+    assert doc["fuchsian"] is False
+
+
 @pytest.mark.parametrize("a", ["0", "1"])
 def test_heun_pole_merging_into_0_or_1_is_a_domain_error(capsys, a):
     rc, out, err = invoke(capsys, "ode", "classify", "--named", "Heun",

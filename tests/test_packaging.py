@@ -55,6 +55,9 @@ DELETED = [
     ("cli", "_UsageError"),
     # every pole is known exactly, so nothing needs a denominator's roots found
     ("fode", "rational_fn"),
+    # poles are compared exactly, so nothing clusters them within a radius
+    ("fode", "_tally_order"),
+    ("fode", "_match_tol"),
 ]
 
 

@@ -211,8 +211,8 @@ def test_rational_fn_cancels_exactly_the_common_roots(tagged, l1, l2, angle):
 
 
 # poles drawn from a small pool (exact duplicates, and -0.0 next to 0.0),
-# moved by up to 4e-9 (inside and outside the 1e-9 (1 + |z|) match
-# tolerance, so near-duplicates chain), or anywhere in |z| <= 4
+# moved by up to 4e-9 (near but distinct poles, which stay apart), or
+# anywhere in |z| <= 4
 POLE_POOL = (0j, complex(-0.0, -0.0), complex(0.0, -0.0), 1 + 0j, -1 + 0j, 2 + 1j, 0.5j)
 POLES = st.lists(
     st.sampled_from(POLE_POOL)
@@ -255,6 +255,7 @@ def _rational(spec):
 @given(rational_specs(), rational_specs())
 @example(([1.0], 1.0, [complex(-0.0, -0.0), 0j, 5e-10]),
          ([1.0], 1.0, [complex(0.0, -0.0), 1 + 0j, 1 + 0j]))
+@example(([1.0], 1.0, [0j]), ([1.0], 1.0, [5e-10 + 0j]))  # two points, not one
 @example(([1.0, 2.0], 1.0, [0j, 1 + 0j]), (None, 1.0, []))  # 2 D - N cancels
 @example(([1.0, 2.0 + 4e-15], 1.0, [0j, 1 + 0j]), (None, 1.0, []))  # noise at w^0
 @example(([1.0], complex(1.5e308, 1.5e308), [1 + 0j]), (None, 1.0, []))  # overflow
