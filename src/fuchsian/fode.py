@@ -9,7 +9,8 @@ A rational function keeps its numerator expanded and its denominator factored
 denominator roots equal to the point.  Every pole is known exactly, so a pole
 cancels by dividing the numerator by (z - s), and two poles are one point
 only when they are equal; the only root finding is of the Whittaker
-polynomial f.
+polynomial f.  One noise rule, _vanishes, decides whether a pole goes, both
+at a finite s and at infinity.
 """
 
 from __future__ import annotations
@@ -70,10 +71,22 @@ class RationalFn:
         return 0 if self.is_zero else self.den_roots.count(point)
 
 
+def _vanishes(value: complex, terms) -> bool:
+    """True when value is finite and |value| <= COEFF_TRIM_TOL * sum|term|, the
+    rounding noise of a sum of those terms (each scaled before the sum, so two
+    terms near the float range do not overflow it); a non-finite bound, or an
+    overflow on the way, keeps the pole that value decides."""
+    try:
+        bound = sum(COEFF_TRIM_TOL * abs(t) for t in terms)
+        return cmath.isfinite(value) and math.isfinite(bound) and abs(value) <= bound
+    except OverflowError:  # finite parts, modulus past the float range
+        return False
+
+
 def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
-    """Divide num by (z - s) at each pole s where num(s) is finite and within
-    the trim noise COEFF_TRIM_TOL * max|c_k| * max(1, |s|)^deg of the current
-    num (Horner's partial sums are the quotient); keep s otherwise or on overflow."""
+    """Divide num by (z - s) at each pole s where num(s) vanishes against its
+    Horner terms c_k * max(1, |s|)^k of the current num (Horner's partial sums
+    are the quotient); keep s otherwise."""
     num = num.trimmed()
     if complex(den_lead) == 0:
         raise ZeroDivisionError("zero denominator")
@@ -85,12 +98,7 @@ def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
         for c in reversed(num.coeffs):
             acc = acc * s + c
             partial.append(acc)
-        try:
-            noise = COEFF_TRIM_TOL * max(map(abs, num.coeffs)) * max(1.0, abs(s)) ** num.degree
-            cancels = cmath.isfinite(acc) and abs(acc) <= noise
-        except OverflowError:  # finite parts, modulus past the float range
-            cancels = False
-        if cancels:
+        if _vanishes(acc, (c * max(1.0, abs(s)) ** k for k, c in enumerate(num.coeffs))):
             num = Poly(partial[-2::-1])
         else:
             kept.append(s)
@@ -247,47 +255,27 @@ def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderOD
         raise ValueError(f"degree {n} not in 5..8")
     s = -1.0 if n % 2 else 1.0
     k1, k2 = complex(k1), complex(k2)
-    # the residue at s is exactly 2 and k1 is exact: nothing cancels or is trimmed
+    # the residue at s is exactly 2, and k1 and k2 are exact: nothing cancels or is trimmed
     p1 = RationalFn(Poly((2.0 - k1 * s, k1)), 1.0, (complex(s),))
-    p2 = _build_rational(Poly((k2,)), 1.0, []) if k2 != 0 else ZERO_RATIONAL
+    p2 = RationalFn(Poly((k2,)), 1 + 0j, ())
     return SecondOrderODE(p1, p2, params={"k1": k1, "k2": k2, "s": s})
 
 
 def _infinity_pole_orders(ode: SecondOrderODE) -> tuple:
     """Pole orders at w = 0 of P1 = 2/w - p1(1/w)/w^2 and P2 = p2(1/w)/w^4.
 
-    Writing p(1/w) = w^(deg den - deg num) N(w)/D(w), where N(w) = w^deg num num(1/w)
-    and D(w) = den_lead * prod(1 - r w) over the nonzero poles (so N(0), D(0) != 0),
-    makes the orders pure degree arithmetic.  The one check is P1 at exponent -1:
-    there P1 = (2 D - N)/(w D), and its pole survives iff the constant term of
-    2 D - N is above the trim cut (see _size_scan) of 2 D - N's coefficients.
+    p(1/w) ~ w^-e with e = deg num - #poles, so P2 has a pole of order e + 4
+    and p1(1/w)/w^2 one of order e + 2, which dominates 2/w unless e = -1.
+    There p1 ~ r/z with r = num lead / den_lead, P1 ~ (2 - r)/w, and the pole
+    goes iff 2 den_lead - num lead vanishes (see _vanishes).
     """
     p1, p2 = ode.p1, ode.p2
-    if p2.is_zero:
-        o2 = 0
-    else:
-        e2 = len(p2.den_roots) - p2.num.degree - 4
-        o2 = max(0, -e2)
-    if p1.is_zero:
-        o1 = 1  # P1 = 2/w
-    else:
-        e1 = len(p1.den_roots) - p1.num.degree - 2
-        if e1 >= 0:
-            o1 = 1
-        elif e1 == -1:
-            d = [complex(p1.den_lead)]
-            for r in p1.den_roots:
-                if r != 0:
-                    d = _product(d, (1 + 0j, -r))
-            n = p1.num.coeffs[::-1]
-            h = [2.0 * c for c in d] + [0j] * (len(n) - len(d))
-            for k, c in enumerate(n):
-                h[k] -= c
-            sizes, cut = _size_scan(h)
-            o1 = 1 if sizes[0] > cut else 0
-        else:
-            o1 = -e1
-    return o1, o2
+    o2 = 0 if p2.is_zero else max(0, p2.num.degree - len(p2.den_roots) + 4)
+    e = p1.num.degree - len(p1.den_roots)
+    if p1.is_zero or e != -1:
+        return max(1, e + 2), o2  # the zero p1 leaves P1 = 2/w
+    twice_lead, top = 2 * p1.den_lead, p1.num.coeffs[-1]
+    return (0 if _vanishes(twice_lead - top, (twice_lead, top)) else 1), o2
 
 
 def _kind(o1: int, o2: int) -> PointKind:

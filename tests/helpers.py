@@ -2,6 +2,7 @@
 reference JSON encoder, reference coefficient trimming and a reference
 classification of singular points."""
 
+import cmath
 import json
 import math
 import pathlib
@@ -95,8 +96,8 @@ def reference_top_trimmed(p):
 
 # --- reference classification -------------------------------------------------
 # The classification restated the plain way: every pole scanned once per
-# point, every pole of p1 and p2 deduplicated in turn, and D(w) at infinity
-# built as a product of Polys.
+# point, every pole of p1 and p2 deduplicated in turn, and infinity read
+# from degrees and p1's residue there.
 
 
 def reference_pole_order(rf, point):
@@ -104,15 +105,6 @@ def reference_pole_order(rf, point):
     if rf.is_zero:
         return 0
     return sum(1 for r in rf.den_roots if r == point)
-
-
-def _one_sided(poly_roots, lead):
-    """lead * prod(1 - r w) over nonzero roots: p(1/w) * w^deg in w."""
-    out = Poly((complex(lead),))
-    for r in poly_roots:
-        if r != 0:
-            out = out * Poly((1.0, -r))
-    return out
 
 
 def reference_infinity_orders(ode):
@@ -130,10 +122,18 @@ def reference_infinity_orders(ode):
 
 
 def reference_infinity_pole(p1):
-    """1 if P1 keeps its simple pole at infinity when deg den - deg num = 1,
-    i.e. if 2 D - N keeps its constant term after trimming, else 0."""
-    D, N = _one_sided(p1.den_roots, p1.den_lead), Poly(p1.num.coeffs[::-1])
-    return 1 if reference_trimmed(D.scaled(2.0) - N).coeffs[0] != 0 else 0
+    """1 if P1 keeps its simple pole at infinity when deg den - deg num = 1.
+    There p1 ~ r/z with r = num lead / den_lead, so P1 ~ (2 - r)/w, and the
+    pole goes only when 2 den_lead - num lead is finite and within
+    COEFF_TRIM_TOL of the sum of its two terms' moduli (hypot does not raise:
+    a modulus past the float range makes that bound infinite, which keeps it)."""
+    two_lead, top = 2 * complex(p1.den_lead), p1.num.coeffs[-1]
+    diff = two_lead - top
+    bound = (COEFF_TRIM_TOL * math.hypot(two_lead.real, two_lead.imag)
+             + COEFF_TRIM_TOL * math.hypot(top.real, top.imag))
+    if cmath.isfinite(diff) and math.isfinite(bound) and math.hypot(diff.real, diff.imag) <= bound:
+        return 0
+    return 1
 
 
 def reference_kind(o1, o2):

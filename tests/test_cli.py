@@ -196,8 +196,9 @@ def test_closed_stdout_exits_without_traceback():
 
 def test_params_near_the_float_range_classify_without_root_finding(capsys):
     # finite --params whose coefficient ratio used to overflow the root finder;
-    # num(1) = c - 1 - a is -1, far below the trim noise of about 1e296, so the
-    # pole at 1 cancels
+    # num(1) = c - 1 - a is -1, far below the noise 1e-12 * (|c| + |1 + a|) of
+    # about 2.8e296 (each term scaled before the sum, which would overflow), so
+    # the pole at 1 cancels
     rc, out, err = invoke(capsys, "ode", "classify", "--named", "Hypergeometric",
                           "--params", "1e308,1e308", "0", "1e308,1e308")
     assert (rc, err) == (0, "")
@@ -292,6 +293,20 @@ def test_printed_numerator_is_the_one_classified(capsys, k1, numerator):
     assert (rc, err) == (0, "")
     doc = json.loads(out)
     assert doc["p1"]["numerator"] == numerator
+    assert doc["singular_points"][-1] == {"kind": "IrregularSingular",
+                                          "location": "infinity"}
+    assert doc["fuchsian"] is False
+
+
+def test_printed_p2_numerator_is_the_one_classified(capsys):
+    # p2 = k2 is built as given, with no trim that needs its modulus (finite
+    # parts, modulus past the float range); any nonzero k2 leaves a pole of
+    # order 4 of P2 at infinity
+    rc, out, err = invoke(capsys, "ode", "build", "--degree", "5", "--k2", "1.5e308,1.5e308",
+                          "--precision", "17")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["p2"]["numerator"] == [[1.5e308, 1.5e308]]
     assert doc["singular_points"][-1] == {"kind": "IrregularSingular",
                                           "location": "infinity"}
     assert doc["fuchsian"] is False

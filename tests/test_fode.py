@@ -372,12 +372,23 @@ def test_curve_ode_coefficients():
 def test_infinity_ordinary_with_finite_poles():
     # p1 = 1/z + 1/(z-1), p2 = 1/z^2 + 2/z + 1/(z-1)^2 - 2/(z-1) = 1/(z^2 (z-1)^2):
     # residues that meet the four Fuchsian restrictions push the decay at
-    # infinity to fourth order, and 2 D - N cancels the P1 pole there
+    # infinity to fourth order, and p1's residue 2 there cancels the P1 pole
     ode = SecondOrderODE(RationalFn(Poly((-1.0, 2.0)), 1.0, (0j, 1 + 0j)),
                          RationalFn(Poly.one(), 1.0, (0j, 0j, 1 + 0j, 1 + 0j)))
     assert is_fuchsian(ode)
     assert finite_locations(ode) == [0.0, 1.0]
     assert singular_points(ode)[-1].kind is PointKind.ORDINARY  # infinity
+
+
+@pytest.mark.parametrize("num, poles, kind", [
+    # residue 3; the far pole's size does not enter the residue test
+    ((0.0, 3.0), (1e13 + 0j, 1 + 0j), PointKind.REGULAR_SINGULAR),
+    ((2.0 + 2e-14,), (0j,), PointKind.ORDINARY),  # residue 2 up to rounding
+    ((2.0 + 1e-10,), (0j,), PointKind.REGULAR_SINGULAR),
+])
+def test_residue_of_p1_at_infinity_decides_its_simple_pole(num, poles, kind):
+    ode = SecondOrderODE(RationalFn(Poly(num), 1.0, poles), ZERO_RATIONAL)
+    assert singular_points(ode)[-1] == PointClass(INFINITY, kind)
 
 
 def test_infinity_irregular_from_a_constant_p1():

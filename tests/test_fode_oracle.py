@@ -99,6 +99,9 @@ NAMED_CASES = [
     ("Heun", ["1", "2", "0", "4", "5", "3", "0"]),  # 0 ordinary: both poles cancel
     ("Heun", ["1", "2", "3", "4", "0", "-2", "-4"]),  # a = -2 ordinary
     ("Heun", ["1", "1", "1", "1", "1", "-2", "0"]),
+    # a far pole: gamma + delta + epsilon = 39/20 is the residue at infinity
+    ("Heun", ["0", "2", "1", "1/2", "9/20", "100000000000", "0"]),
+    ("Heun", ["0", "2", "1", "1/2", "9/20", "1000000000000", "0"]),
     ("Hypergeometric", ["1/2", "1/2", "1"]),
     ("Hypergeometric", ["1/3", "2/5", "7/4"]),
     ("Hypergeometric", ["0", "1", "0"]),  # p1 pole at 0 cancels, p2 = 0
