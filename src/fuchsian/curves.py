@@ -14,8 +14,6 @@ from enum import Enum
 
 from .hyperbolic import Tessellation
 
-COEFF_TRIM_TOL = 1e-12
-
 
 class Parity(Enum):
     ODD = "odd"
@@ -150,25 +148,6 @@ class Poly:
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"root finding failed: {exc}") from exc
         return (*map(complex, found), *(0j,) * k)
-
-    def trimmed(self, tol: float = COEFF_TRIM_TOL) -> "Poly":
-        """The noise coefficients (see _size_scan) set to 0.0; self if there are none."""
-        sizes, cut = _size_scan(self.coeffs, tol)
-        if min(sizes) > cut:
-            return self
-        return Poly(tuple(0.0 if s <= cut else c for c, s in zip(self.coeffs, sizes)))
-
-
-def _size_scan(coeffs, tol: float = COEFF_TRIM_TOL) -> tuple:
-    """(moduli, cut): a modulus at or below cut = tol * the largest is noise.
-    An overflowed coefficient raises ValueError; as the scale it would zero all."""
-    try:
-        sizes = [abs(c) for c in coeffs]
-    except OverflowError:  # finite parts, modulus past the float range
-        sizes = [math.inf]
-    if not all(map(math.isfinite, sizes)):
-        raise ValueError(f"coefficient overflow: {list(coeffs)}")
-    return sizes, tol * max(sizes, default=0.0)
 
 
 def _product(a, b) -> list:

@@ -10,7 +10,7 @@ denominator roots equal to the point.  Every pole is known exactly, so a pole
 cancels by dividing the numerator by (z - s), and two poles are one point
 only when they are equal; the only root finding is of the Whittaker
 polynomial f.  One noise rule, _vanishes, decides whether a pole goes, both
-at a finite s and at infinity.
+at a finite s and at infinity; only whittaker_equation cuts coefficients.
 """
 
 from __future__ import annotations
@@ -23,13 +23,15 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .curves import COEFF_TRIM_TOL, CurveSpec, Poly, _product, _size_scan, expand_poly
+from .curves import CurveSpec, Poly, _product, expand_poly
 from .moebius import INFINITY
 
-# named_equation rejects a Heun pole a within ROOT_MATCH_TOL of 0 or
-# 2 * ROOT_MATCH_TOL of 1 as coinciding with that pole; the classification
+# rounding noise relative to the size of what was summed (_vanishes, _size_scan)
+COEFF_TRIM_TOL = 1e-12
+# named_equation rejects a Heun pole a within HEUN_POLE_GAP of 0 or
+# 2 * HEUN_POLE_GAP of 1 as coinciding with that pole; the classification
 # itself compares poles exactly
-ROOT_MATCH_TOL = 1e-9
+HEUN_POLE_GAP = 1e-9
 # distinctness check on user polynomials: a genuine double root re-found
 # numerically splits by about sqrt(machine eps * coefficient scale), up to
 # ~1e-7, so the repeated-root detector must sit well above that
@@ -42,7 +44,7 @@ class RationalFn:
 
     num is the expanded numerator; den_lead * prod(z - r) over den_roots is
     the denominator, stored factored so that a double pole is two equal
-    roots.  den expands it for display.
+    roots.  den expands it, every coefficient as built, for display.
     """
 
     num: Poly
@@ -51,7 +53,7 @@ class RationalFn:
 
     @property
     def den(self) -> Poly:
-        return expand_poly(self.den_roots).scaled(self.den_lead).trimmed()
+        return expand_poly(self.den_roots).scaled(self.den_lead)
 
     @property
     def is_zero(self) -> bool:
@@ -83,11 +85,23 @@ def _vanishes(value: complex, terms) -> bool:
         return False
 
 
+def _size_scan(coeffs) -> tuple:
+    """(moduli, cut = COEFF_TRIM_TOL * the largest).  An overflowed coefficient
+    raises ValueError; as the scale it would cut all."""
+    try:
+        sizes = [abs(c) for c in coeffs]
+    except OverflowError:  # finite parts, modulus past the float range
+        sizes = [math.inf]
+    if not all(map(math.isfinite, sizes)):
+        raise ValueError(f"coefficient overflow: {list(coeffs)}")
+    return sizes, COEFF_TRIM_TOL * max(sizes, default=0.0)
+
+
 def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
     """Divide num by (z - s) at each pole s where num(s) vanishes against its
     Horner terms c_k * max(1, |s|)^k of the current num (Horner's partial sums
-    are the quotient); keep s otherwise."""
-    num = num.trimmed()
+    are the quotient); keep s otherwise.  _size_scan refuses an overflow."""
+    _size_scan(num.coeffs)
     if complex(den_lead) == 0:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
@@ -179,7 +193,7 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
     elif key == "Heun":
         al, be, ga, de, ep, a, q = params
         try:
-            coincide = abs(a) <= ROOT_MATCH_TOL or abs(a - 1.0) <= 2 * ROOT_MATCH_TOL
+            coincide = abs(a) <= HEUN_POLE_GAP or abs(a - 1.0) <= 2 * HEUN_POLE_GAP
         except OverflowError:  # finite parts, modulus past the float range
             raise ValueError(f"Heun pole a = {a} has a modulus past the float range") from None
         if coincide:
@@ -206,8 +220,8 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
 
 
 def _top_trimmed(p: Poly) -> Poly:
-    """p cut after the last coefficient trimmed() keeps (p itself if none is
-    cut there); the small low-order ones stay, since they place roots near 0."""
+    """p cut after its last coefficient above _size_scan's cut (p itself if that
+    is the top one); the small low-order ones stay, since they place roots near 0."""
     sizes, cut = _size_scan(p.coeffs)
     top = next((i for i in range(len(sizes) - 1, -1, -1) if sizes[i] > cut), -1)
     return p if top == len(sizes) - 1 else Poly(p.coeffs[:top + 1])
@@ -255,7 +269,7 @@ def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderOD
         raise ValueError(f"degree {n} not in 5..8")
     s = -1.0 if n % 2 else 1.0
     k1, k2 = complex(k1), complex(k2)
-    # the residue at s is exactly 2, and k1 and k2 are exact: nothing cancels or is trimmed
+    # the residue at s is exactly 2, and k1 and k2 are exact: nothing cancels
     p1 = RationalFn(Poly((2.0 - k1 * s, k1)), 1.0, (complex(s),))
     p2 = RationalFn(Poly((k2,)), 1 + 0j, ())
     return SecondOrderODE(p1, p2, params={"k1": k1, "k2": k2, "s": s})

@@ -8,8 +8,8 @@ import math
 import pathlib
 from fractions import Fraction
 
-from fuchsian.curves import COEFF_TRIM_TOL, Poly
-from fuchsian.fode import PointClass, PointKind
+from fuchsian.curves import Poly
+from fuchsian.fode import COEFF_TRIM_TOL, PointClass, PointKind
 from fuchsian.moebius import INFINITY
 from fuchsian.report import round_sig
 
@@ -70,12 +70,13 @@ def oracle_json(obj, precision=7):
 
 
 # --- reference trimming -------------------------------------------------------
-# Each trim decision restated as a whole trimmed Poly, apart from the size
-# scan that the library shares among them.
+# The Whittaker top cut restated through a whole trimmed Poly, apart from the
+# library's size scan.
 
 
-def reference_trimmed(p, tol=COEFF_TRIM_TOL):
-    """Poly.trimmed as a fresh Poly: noise coefficients become 0.0."""
+def reference_trimmed(p):
+    """p with every coefficient at or below COEFF_TRIM_TOL of the largest
+    modulus set to 0.0, as a fresh Poly."""
     try:
         sizes = [abs(c) for c in p.coeffs]
     except OverflowError:
@@ -85,7 +86,7 @@ def reference_trimmed(p, tol=COEFF_TRIM_TOL):
     scale = max(sizes, default=0.0)
     if scale == 0.0:
         return Poly.zero()
-    return Poly(tuple(0.0 if s <= tol * scale else c
+    return Poly(tuple(0.0 if s <= COEFF_TRIM_TOL * scale else c
                       for c, s in zip(p.coeffs, sizes)))
 
 

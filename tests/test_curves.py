@@ -13,6 +13,7 @@ from fuchsian.curves import (
     integer_roots,
     tessellation_for_curve,
 )
+from fuchsian.fode import _build_rational
 
 # integer-root expansions, coefficients lowest first
 EXPANSIONS = {
@@ -146,19 +147,12 @@ def test_poly_roots_overflow_is_a_value_error():
             p.roots()
 
 
-def test_poly_trimmed():
-    p = Poly((1.0, 1e-15, 2.0))
-    t = p.trimmed(1e-12)
-    assert t.coeffs[1] == 0
-    assert t.coeffs[0] == 1.0 and t.coeffs[2] == 2.0
-
-
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
                                  complex(0.0, math.inf), 1.5e308 + 1.5e308j])
 def test_poly_trimmed_rejects_overflowed_coefficients(bad):
-    # an infinite scale would zero every coefficient
+    # the rational-function builder refuses a numerator it cannot size
     with pytest.raises(ValueError, match="coefficient overflow"):
-        Poly((1.0, bad, 2.0)).trimmed()
+        _build_rational(Poly((1.0, bad, 2.0)), 1.0, [0.0])
 
 
 def test_curve_spec_is_frozen():

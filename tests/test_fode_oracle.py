@@ -102,9 +102,12 @@ NAMED_CASES = [
     # a far pole: gamma + delta + epsilon = 39/20 is the residue at infinity
     ("Heun", ["0", "2", "1", "1/2", "9/20", "100000000000", "0"]),
     ("Heun", ["0", "2", "1", "1/2", "9/20", "1000000000000", "0"]),
+    # gamma + delta + epsilon = 2 beside a far pole: infinity is ordinary
+    ("Heun", ["0", "2", "1", "1/2", "1/2", "2000000000000", "0"]),
     ("Hypergeometric", ["1/2", "1/2", "1"]),
     ("Hypergeometric", ["1/3", "2/5", "7/4"]),
     ("Hypergeometric", ["0", "1", "0"]),  # p1 pole at 0 cancels, p2 = 0
+    ("Hypergeometric", ["0", "1", "10000000000000"]),  # 1 + a + b = 2: infinity ordinary
     ("WhittakerHypergeometric", []),
 ]
 

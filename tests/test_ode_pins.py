@@ -5,10 +5,13 @@ the default precision and at --precision 17, and of the precision-17 JSON of
 the Whittaker equation of each integer-root curve polynomial.  Any change to
 a printed coefficient, location, kind or verdict, down to the last digit
 the CLI prints, shows here.  The Whittaker pins hold digits of numerically
-found roots, so they are tied to the numpy/LAPACK build as well.
+found roots, so they are tied to the numpy/LAPACK build as well.  A
+printed polynomial keeps every coefficient it was built with, so its length
+is its degree plus one, however large its coefficients are.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -45,9 +48,9 @@ CLI_PINS = {
 
 # canonical_json(ode_report(whittaker_equation(expand_poly(integer_roots(n)))), 17)
 WHITTAKER_PINS = {
-    5: "39b34a7684955d310c1288be95c74e370773994401b8e87cdfce65590101a2e8",
+    5: "e379b6cdca8bd8991c4e4568c1c82e50b5d416977201fcc9509df3e81fcd865e",
     6: "943bc23194374186454886ca10eca069b00c1cbf20d60dfb6eb40ac24e6bd038",
-    7: "bf997b241a7ba3168f91e65a5e2a740768ea3566361e2d8cfd79fc96386e5cdb",
+    7: "d634a8edb206132c6d6e523809a3c87348dbe2b044ab89b0c5290684f1dcf1d4",
     8: "cd5b93433279ee41df1a40ac3dfdd1a1c94b583278a589f141883ab310d69b9c",
 }
 
@@ -70,3 +73,13 @@ def test_whittaker_document_is_pinned(n):
     ode = whittaker_equation(expand_poly(integer_roots(n)))
     text = canonical_json(ode_report(ode), 17)
     assert sha256(text) == WHITTAKER_PINS[n], text
+
+
+def test_printed_denominators_keep_their_degree(capsys):
+    # z(z - 1)(z - a) with a = 1e12: the leading 1 is far below the other two
+    assert run("ode classify --named Heun --params 0 2 1 0.5 0.45 1e12 0".split()) == 0
+    assert len(json.loads(capsys.readouterr().out)["p1"]["denominator"]) == 4
+    # a double pole at each root of f: 2n + 1 coefficients
+    for n in range(5, 16):
+        ode = whittaker_equation(expand_poly(integer_roots(n)))
+        assert len(ode_report(ode)["p2"]["denominator"]) == 2 * n + 1, n

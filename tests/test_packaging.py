@@ -58,6 +58,9 @@ DELETED = [
     # poles are compared exactly, so nothing clusters them within a radius
     ("fode", "_tally_order"),
     ("fode", "_match_tol"),
+    # noise is cut only in fode, off the top of the Whittaker polynomials
+    ("curves", "COEFF_TRIM_TOL"),
+    ("curves", "_size_scan"),
 ]
 
 
@@ -70,6 +73,10 @@ def test_deleted_api_is_gone(module, name):
 
 def test_poly_variable_is_gone():
     assert not hasattr(fuchsian.Poly, "variable")
+
+
+def test_poly_trimmed_is_gone():
+    assert not hasattr(fuchsian.Poly, "trimmed")
 
 
 def _unused_imports(tree):
