@@ -10,7 +10,7 @@ denominator roots equal to the point.  Every pole is known exactly, so a pole
 cancels by dividing the numerator by (z - s), and two poles are one point
 only when they are equal; the only root finding is of the Whittaker
 polynomial f.  One noise rule, _vanishes, decides whether a pole goes, both
-at a finite s and at infinity; only whittaker_equation cuts coefficients.
+at a finite s and at infinity; no coefficient is ever cut.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from functools import cached_property
 from .curves import CurveSpec, Poly, _product, expand_poly
 from .moebius import INFINITY
 
-# rounding noise relative to the size of what was summed (_vanishes, _size_scan)
-COEFF_TRIM_TOL = 1e-12
+# rounding noise relative to the size of what was summed (_vanishes)
+VANISH_TOL = 1e-12
 # named_equation rejects a Heun pole a within HEUN_POLE_GAP of 0 or
 # 2 * HEUN_POLE_GAP of 1 as coinciding with that pole; the classification
 # itself compares poles exactly
@@ -67,41 +67,34 @@ class RationalFn:
             acc /= z - r
         return acc
 
-    def pole_order(self, point: complex) -> int:
-        """Number of denominator roots equal to point, 0 for the zero function;
-        the denominator holds no root that cancels against the numerator."""
-        return 0 if self.is_zero else self.den_roots.count(point)
-
 
 def _vanishes(value: complex, terms) -> bool:
-    """True when value is finite and |value| <= COEFF_TRIM_TOL * sum|term|, the
+    """True when value is finite and |value| <= VANISH_TOL * sum|term|, the
     rounding noise of a sum of those terms (each scaled before the sum, so two
     terms near the float range do not overflow it); a non-finite bound, or an
     overflow on the way, keeps the pole that value decides."""
     try:
-        bound = sum(COEFF_TRIM_TOL * abs(t) for t in terms)
+        bound = sum(VANISH_TOL * abs(t) for t in terms)
         return cmath.isfinite(value) and math.isfinite(bound) and abs(value) <= bound
     except OverflowError:  # finite parts, modulus past the float range
         return False
 
 
-def _size_scan(coeffs) -> tuple:
-    """(moduli, cut = COEFF_TRIM_TOL * the largest).  An overflowed coefficient
-    raises ValueError; as the scale it would cut all."""
+def _refuse_overflow(coeffs) -> None:
+    """Raise ValueError if a coefficient's modulus is not a finite float."""
     try:
-        sizes = [abs(c) for c in coeffs]
+        finite = all(math.isfinite(abs(c)) for c in coeffs)
     except OverflowError:  # finite parts, modulus past the float range
-        sizes = [math.inf]
-    if not all(map(math.isfinite, sizes)):
+        finite = False
+    if not finite:
         raise ValueError(f"coefficient overflow: {list(coeffs)}")
-    return sizes, COEFF_TRIM_TOL * max(sizes, default=0.0)
 
 
 def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
     """Divide num by (z - s) at each pole s where num(s) vanishes against its
     Horner terms c_k * max(1, |s|)^k of the current num (Horner's partial sums
-    are the quotient); keep s otherwise.  _size_scan refuses an overflow."""
-    _size_scan(num.coeffs)
+    are the quotient); keep s otherwise.  An overflowed coefficient is refused."""
+    _refuse_overflow(num.coeffs)
     if complex(den_lead) == 0:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
@@ -219,20 +212,13 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
     return SecondOrderODE(p1, p2, params={"name": key, **named})
 
 
-def _top_trimmed(p: Poly) -> Poly:
-    """p cut after its last coefficient above _size_scan's cut (p itself if that
-    is the top one); the small low-order ones stay, since they place roots near 0."""
-    sizes, cut = _size_scan(p.coeffs)
-    top = next((i for i in range(len(sizes) - 1, -1, -1) if sizes[i] > cut), -1)
-    return p if top == len(sizes) - 1 else Poly(p.coeffs[:top + 1])
-
-
 def whittaker_equation(f: Poly) -> SecondOrderODE:
     """y'' + (3/16) [ (f'/f)^2 - ((2g+2)/(2g+1)) f''/f ] y = 0.
 
-    g is inferred from deg f (ceil(deg/2) - 1); f must have distinct roots.
+    f is taken as given; g is inferred from deg f (ceil(deg/2) - 1), and f
+    must have distinct roots.
     """
-    f = _top_trimmed(f)
+    _refuse_overflow(f.coeffs)
     n = f.degree
     if n < 5:
         raise ValueError(f"deg f = {n} < 5")
@@ -245,10 +231,13 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
     g = math.ceil(n / 2) - 1
     ratio = Fraction(2 * g + 2, 2 * g + 1)
     df = f.derivative()
-    # N = (3/16)(f'^2 - ratio f'' f); its top coefficient cancels for even n
+    # N = (3/16)(f'^2 - ratio f'' f) has degree 2n - 2 and top coefficient
+    # (3/16) lead^2 for odd n; for even n its top two coefficients are 0
     sq, cross = _product(df.coeffs, df.coeffs), _product(df.derivative().coeffs, f.coeffs)
     q = float(ratio)
-    num = _top_trimmed(Poly([3.0 / 16.0 * (x + -1.0 * (q * y)) for x, y in zip(sq, cross)]))
+    size = 2 * n - 1 if n % 2 else 2 * n - 3
+    num = Poly([3.0 / 16.0 * (x + -1.0 * (q * y)) for x, y in zip(sq[:size], cross)])
+    _refuse_overflow(num.coeffs)
     # N(r) = (3/16) f'(r)^2 != 0 at each simple root r of f: nothing cancels
     lead = f.coeffs[-1]
     p2 = RationalFn(num, lead * lead, tuple(r for r in roots for _ in range(2)))

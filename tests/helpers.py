@@ -1,6 +1,5 @@
 """Shared test utilities: reference-table loading, numeric parsing, the
-reference JSON encoder, reference coefficient trimming and a reference
-classification of singular points."""
+reference JSON encoder and a reference classification of singular points."""
 
 import cmath
 import json
@@ -8,8 +7,7 @@ import math
 import pathlib
 from fractions import Fraction
 
-from fuchsian.curves import Poly
-from fuchsian.fode import COEFF_TRIM_TOL, PointClass, PointKind
+from fuchsian.fode import VANISH_TOL, PointClass, PointKind
 from fuchsian.moebius import INFINITY
 from fuchsian.report import round_sig
 
@@ -69,32 +67,6 @@ def oracle_json(obj, precision=7):
     return json.dumps(_walk(obj, precision), sort_keys=True, indent=2)
 
 
-# --- reference trimming -------------------------------------------------------
-# The Whittaker top cut restated through a whole trimmed Poly, apart from the
-# library's size scan.
-
-
-def reference_trimmed(p):
-    """p with every coefficient at or below COEFF_TRIM_TOL of the largest
-    modulus set to 0.0, as a fresh Poly."""
-    try:
-        sizes = [abs(c) for c in p.coeffs]
-    except OverflowError:
-        sizes = [math.inf]
-    if not all(map(math.isfinite, sizes)):
-        raise ValueError(f"coefficient overflow: {list(p.coeffs)}")
-    scale = max(sizes, default=0.0)
-    if scale == 0.0:
-        return Poly.zero()
-    return Poly(tuple(0.0 if s <= COEFF_TRIM_TOL * scale else c
-                      for c, s in zip(p.coeffs, sizes)))
-
-
-def reference_top_trimmed(p):
-    """p cut after the degree of its trimmed copy."""
-    return Poly(p.coeffs[:reference_trimmed(p).degree + 1])
-
-
 # --- reference classification -------------------------------------------------
 # The classification restated the plain way: every pole scanned once per
 # point, every pole of p1 and p2 deduplicated in turn, and infinity read
@@ -126,12 +98,12 @@ def reference_infinity_pole(p1):
     """1 if P1 keeps its simple pole at infinity when deg den - deg num = 1.
     There p1 ~ r/z with r = num lead / den_lead, so P1 ~ (2 - r)/w, and the
     pole goes only when 2 den_lead - num lead is finite and within
-    COEFF_TRIM_TOL of the sum of its two terms' moduli (hypot does not raise:
+    VANISH_TOL of the sum of its two terms' moduli (hypot does not raise:
     a modulus past the float range makes that bound infinite, which keeps it)."""
     two_lead, top = 2 * complex(p1.den_lead), p1.num.coeffs[-1]
     diff = two_lead - top
-    bound = (COEFF_TRIM_TOL * math.hypot(two_lead.real, two_lead.imag)
-             + COEFF_TRIM_TOL * math.hypot(top.real, top.imag))
+    bound = (VANISH_TOL * math.hypot(two_lead.real, two_lead.imag)
+             + VANISH_TOL * math.hypot(top.real, top.imag))
     if cmath.isfinite(diff) and math.isfinite(bound) and math.hypot(diff.real, diff.imag) <= bound:
         return 0
     return 1

@@ -261,7 +261,7 @@ def test_negative_real_parts_are_values_not_options(capsys, argv, field, value):
     ["Hypergeometric", "1e200", "1e200", "1"],
 ])
 def test_overflowed_coefficient_is_a_domain_error(capsys, argv):
-    # an overflowed coefficient must not become the trim scale and zero the rest
+    # a coefficient past the float range is refused, never classified
     rc, out, err = invoke(capsys, "ode", "classify", "--named", argv[0],
                           "--params", *argv[1:])
     assert (rc, out) == (2, "")
@@ -299,7 +299,7 @@ def test_printed_numerator_is_the_one_classified(capsys, k1, numerator):
 
 
 def test_printed_p2_numerator_is_the_one_classified(capsys):
-    # p2 = k2 is built as given, with no trim that needs its modulus (finite
+    # p2 = k2 is built as given, and nothing needs its modulus (finite
     # parts, modulus past the float range); any nonzero k2 leaves a pole of
     # order 4 of P2 at infinity
     rc, out, err = invoke(capsys, "ode", "build", "--degree", "5", "--k2", "1.5e308,1.5e308",
@@ -403,7 +403,7 @@ def test_ode_classify_named(capsys):
 
 
 def test_ode_classify_keeps_a_pole_with_a_small_residue(capsys):
-    # p1 = (1e-11 - 2z)/(z(1-z)): residue 1e-11 at 0, above the 2e-12 trim bound
+    # p1 = (1e-11 - 2z)/(z(1-z)): residue 1e-11 at 0, above the 2e-12 noise bound
     rc, out, _ = invoke(capsys, "ode", "classify", "--named", "Hypergeometric",
                         "--params", "0", "1", "1e-11")
     doc = json.loads(out)

@@ -13,7 +13,7 @@ from fuchsian.curves import (
     integer_roots,
     tessellation_for_curve,
 )
-from fuchsian.fode import _build_rational
+from fuchsian.fode import _build_rational, whittaker_equation
 
 # integer-root expansions, coefficients lowest first
 EXPANSIONS = {
@@ -150,9 +150,12 @@ def test_poly_roots_overflow_is_a_value_error():
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
                                  complex(0.0, math.inf), 1.5e308 + 1.5e308j])
 def test_poly_trimmed_rejects_overflowed_coefficients(bad):
-    # the rational-function builder refuses a numerator it cannot size
+    # the rational-function builder refuses a numerator it cannot size, and
+    # whittaker_equation an f
     with pytest.raises(ValueError, match="coefficient overflow"):
         _build_rational(Poly((1.0, bad, 2.0)), 1.0, [0.0])
+    with pytest.raises(ValueError, match="coefficient overflow"):
+        whittaker_equation(Poly((-1.0, bad, 0.0, 0.0, 0.0, 1.0)))
 
 
 def test_curve_spec_is_frozen():

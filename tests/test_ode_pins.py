@@ -16,7 +16,7 @@ import json
 import pytest
 
 from fuchsian.cli import run
-from fuchsian.curves import expand_poly, integer_roots
+from fuchsian.curves import Poly, expand_poly, integer_roots
 from fuchsian.fode import whittaker_equation
 from fuchsian.report import canonical_json, ode_report
 
@@ -79,7 +79,12 @@ def test_printed_denominators_keep_their_degree(capsys):
     # z(z - 1)(z - a) with a = 1e12: the leading 1 is far below the other two
     assert run("ode classify --named Heun --params 0 2 1 0.5 0.45 1e12 0".split()) == 0
     assert len(json.loads(capsys.readouterr().out)["p1"]["denominator"]) == 4
-    # a double pole at each root of f: 2n + 1 coefficients
+    # a double pole at each root of f: 2n + 1 coefficients; N has degree
+    # 2n - 2 for odd n, and for even n its top two coefficients are 0
     for n in range(5, 16):
-        ode = whittaker_equation(expand_poly(integer_roots(n)))
-        assert len(ode_report(ode)["p2"]["denominator"]) == 2 * n + 1, n
+        p2 = ode_report(whittaker_equation(expand_poly(integer_roots(n))))["p2"]
+        assert len(p2["denominator"]) == 2 * n + 1, n
+        assert len(p2["numerator"]) == (2 * n - 1 if n % 2 else 2 * n - 3), n
+    # f = z^5 - 3.2e11 is taken as given: N = (3/16)(z^8 + 24 * 3.2e11 z^3)
+    p2 = ode_report(whittaker_equation(Poly((-3.2e11, 0, 0, 0, 0, 1))))["p2"]
+    assert p2["numerator"] == [0, 0, 0, 1.44e12, 0, 0, 0, 0, 0.1875]

@@ -58,13 +58,19 @@ DELETED = [
     # poles are compared exactly, so nothing clusters them within a radius
     ("fode", "_tally_order"),
     ("fode", "_match_tol"),
-    # noise is cut only in fode, off the top of the Whittaker polynomials
+    # no coefficient is cut: the Whittaker numerator's length follows the
+    # parity of deg f, and only an overflow is refused
     ("curves", "COEFF_TRIM_TOL"),
     ("curves", "_size_scan"),
+    ("fode", "COEFF_TRIM_TOL"),
+    ("fode", "_size_scan"),
+    ("fode", "_top_trimmed"),
 ]
 
 
-@pytest.mark.parametrize("module, name", DELETED, ids=[n for _, n in DELETED])
+# a name's id is the name; a second module that lost the same name adds its own
+@pytest.mark.parametrize("module, name", DELETED, ids=[
+    f"{m}.{n}" if n in [k for _, k in DELETED[:i]] else n for i, (m, n) in enumerate(DELETED)])
 def test_deleted_api_is_gone(module, name):
     assert not hasattr(fuchsian, name)
     assert name not in fuchsian.__all__
@@ -77,6 +83,11 @@ def test_poly_variable_is_gone():
 
 def test_poly_trimmed_is_gone():
     assert not hasattr(fuchsian.Poly, "trimmed")
+
+
+def test_rational_fn_pole_order_is_gone():
+    # tests count poles with helpers.reference_pole_order
+    assert not hasattr(importlib.import_module("fuchsian.fode").RationalFn, "pole_order")
 
 
 def _unused_imports(tree):
