@@ -9,29 +9,24 @@ A rational function keeps its numerator expanded and its denominator factored
 denominator roots equal to the point.  Every pole is known exactly, so a pole
 cancels by dividing the numerator by (z - s), and two poles are one point
 only when they are equal; the only root finding is of the Whittaker
-polynomial f.  One noise rule, _vanishes, decides whether a pole goes, both
-at a finite s and at infinity; no coefficient is ever cut.
+polynomial f; no coefficient is cut.  A catalog pole (finite or at infinity)
+goes only when its residue, exact in the parameters' decimal reprs, is 0.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 
 from .curves import CurveSpec, Poly, _product, expand_poly
 from .moebius import INFINITY
 
-# rounding noise relative to the size of what was summed (_vanishes)
-VANISH_TOL = 1e-12
-# named_equation rejects a Heun pole a within HEUN_POLE_GAP of 0 or
-# 2 * HEUN_POLE_GAP of 1 as coinciding with that pole; the classification
-# itself compares poles exactly
-HEUN_POLE_GAP = 1e-9
 # distinctness check on user polynomials: a genuine double root re-found
 # numerically splits by about sqrt(machine eps * coefficient scale), up to
 # ~1e-7, so the repeated-root detector must sit well above that
@@ -68,48 +63,37 @@ class RationalFn:
         return acc
 
 
-def _vanishes(value: complex, terms) -> bool:
-    """True when value is finite and |value| <= VANISH_TOL * sum|term|, the
-    rounding noise of a sum of those terms (each scaled before the sum, so two
-    terms near the float range do not overflow it); a non-finite bound, or an
-    overflow on the way, keeps the pole that value decides."""
-    try:
-        bound = sum(VANISH_TOL * abs(t) for t in terms)
-        return cmath.isfinite(value) and math.isfinite(bound) and abs(value) <= bound
-    except OverflowError:  # finite parts, modulus past the float range
-        return False
-
-
-def _refuse_overflow(coeffs) -> None:
+def _refuse_overflow(*polys: Poly) -> None:
     """Raise ValueError if a coefficient's modulus is not a finite float."""
-    try:
-        finite = all(math.isfinite(abs(c)) for c in coeffs)
-    except OverflowError:  # finite parts, modulus past the float range
-        finite = False
-    if not finite:
-        raise ValueError(f"coefficient overflow: {list(coeffs)}")
+    for p in polys:
+        if not all(math.isfinite(math.hypot(c.real, c.imag)) for c in p.coeffs):
+            raise ValueError(f"coefficient overflow: {list(p.coeffs)}")
 
 
-def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
-    """Divide num by (z - s) at each pole s where num(s) vanishes against its
-    Horner terms c_k * max(1, |s|)^k of the current num (Horner's partial sums
-    are the quotient); keep s otherwise.  An overflowed coefficient is refused."""
-    _refuse_overflow(num.coeffs)
-    if complex(den_lead) == 0:
-        raise ZeroDivisionError("zero denominator")
+def _build_rational(num: Poly, den_lead: complex, den_roots, cancel=()) -> RationalFn:
+    """num / (den_lead * prod(z - s)), with num divided by (z - s) (Horner's
+    partial sums are the quotient) at each pole s whose flag in cancel the
+    caller set on showing num(s) = 0 exactly; every other pole stays."""
     if num.is_zero:
         return ZERO_RATIONAL
-    kept = []
-    for s in map(complex, den_roots):
+    poles = tuple(zip_longest(map(complex, den_roots), cancel))
+    for s in (s for s, gone in poles if gone):
         acc, partial = 0j, []
         for c in reversed(num.coeffs):
             acc = acc * s + c
             partial.append(acc)
-        if _vanishes(acc, (c * max(1.0, abs(s)) ** k for k, c in enumerate(num.coeffs))):
-            num = Poly(partial[-2::-1])
-        else:
-            kept.append(s)
-    return RationalFn(num, complex(den_lead), tuple(kept))
+        num = Poly(partial[-2::-1])
+    return RationalFn(num, complex(den_lead), tuple(s for s, gone in poles if not gone))
+
+
+def _pin_top(num: Poly, size: int, target: complex, holds: bool) -> Poly:
+    """num as size coefficients whose top one, den_lead times p1's residue at
+    infinity, is exactly target iff that exact identity holds (a float that
+    rounded onto target moves one step up)."""
+    *low, top = num.coeffs + (0j,) * (size - len(num.coeffs))
+    if holds == (top == target):
+        return num
+    return Poly((*low, target if holds else complex(math.nextafter(top.real, math.inf), top.imag)))
 
 
 ZERO_RATIONAL = RationalFn(Poly.zero(), 1.0, ())
@@ -182,27 +166,44 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
         c, k = (2.0, lam * (lam + 1)) if key == "Legendre" else (1.0, lam * lam)
         p1 = _build_rational(Poly((0.0, c)), -1.0, [1.0, -1.0])
         p2 = _build_rational(Poly((k,)), -1.0, [1.0, -1.0])
+        _refuse_overflow(p2.num)  # nothing cancels: 2z, z and a constant are not 0 at +-1
         named = {"lambda": lam}
     elif key == "Heun":
         al, be, ga, de, ep, a, q = params
-        try:
-            coincide = abs(a) <= HEUN_POLE_GAP or abs(a - 1.0) <= 2 * HEUN_POLE_GAP
-        except OverflowError:  # finite parts, modulus past the float range
-            raise ValueError(f"Heun pole a = {a} has a modulus past the float range") from None
-        if coincide:
+        if a == 0 or a == 1:
             raise ValueError(f"Heun pole a = {a} coincides with 0 or 1")
-        num = (expand_poly([1.0, a]).scaled(ga)
-               + expand_poly([0.0, a]).scaled(de)
-               + expand_poly([0.0, 1.0]).scaled(ep))
-        p1 = _build_rational(num, 1.0, [0.0, 1.0, a])
-        p2 = _build_rational(Poly((-q, al * be)), 1.0, [0.0, 1.0, a])
+        num1 = (expand_poly([1.0, a]).scaled(ga)
+                + expand_poly([0.0, a]).scaled(de)
+                + expand_poly([0.0, 1.0]).scaled(ep))
+        num2 = Poly((-q, al * be))
+        _refuse_overflow(num1, num2)
+        # p2's residues at 0, 1, a: q, alpha beta - q, alpha beta a - q
+        with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            (alr, ali), (ber, bei), (gr, gi), (dr, di), (er, ei), (ar, ai), (qr, qi) = (
+                (Decimal(repr(x.real)), Decimal(repr(x.imag))) for x in params)
+            abr, abi = alr * ber - ali * bei, alr * bei + ali * ber
+            at_1, at_a = (abr == qr and abi == qi,
+                          abr * ar - abi * ai == qr and abr * ai + abi * ar == qi)
+            at_inf = gr + dr + er == 2 and gi + di + ei == 0
+        p1 = _build_rational(_pin_top(num1, 3, 2.0, at_inf), 1.0, [0.0, 1.0, a],
+                             (ga == 0, de == 0, ep == 0))
+        p2 = _build_rational(num2, 1.0, [0.0, 1.0, a], (q == 0, at_1, at_a))
         named = {"alpha": al, "beta": be, "gamma": ga, "delta": de,
                  "epsilon": ep, "a": a, "q": q}
     elif key == "Hypergeometric":
         a, b, c = params
         # z(1-z) = -1 * z(z-1)
-        p1 = _build_rational(Poly((c, -(1.0 + a + b))), -1.0, [0.0, 1.0])
-        p2 = _build_rational(Poly((-a * b,)), -1.0, [0.0, 1.0])
+        num1, num2 = Poly((c, -(1.0 + a + b))), Poly((-a * b,))
+        _refuse_overflow(num1, num2)
+        with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            # residues c - 1 - a - b at 1 and 1 + a + b at infinity, real parts first
+            ab = Decimal(repr(a.real)) + Decimal(repr(b.real))
+            at_1, at_inf = Decimal(repr(c.real)) == 1 + ab, ab == 1
+            if at_1 or at_inf:
+                ab = Decimal(repr(a.imag)) + Decimal(repr(b.imag))
+                at_1, at_inf = at_1 and Decimal(repr(c.imag)) == ab, at_inf and ab == 0
+        p1 = _build_rational(_pin_top(num1, 2, -2.0, at_inf), -1.0, [0.0, 1.0], (c == 0, at_1))
+        p2 = _build_rational(num2, -1.0, [0.0, 1.0])
         named = {"a": a, "b": b, "c": c}
     else:  # WhittakerHypergeometric
         p1 = _build_rational(Poly((-20.0, 40.0)), 25.0, [0.0, 1.0])
@@ -218,7 +219,7 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
     f is taken as given; g is inferred from deg f (ceil(deg/2) - 1), and f
     must have distinct roots.
     """
-    _refuse_overflow(f.coeffs)
+    _refuse_overflow(f)
     n = f.degree
     if n < 5:
         raise ValueError(f"deg f = {n} < 5")
@@ -237,7 +238,7 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
     q = float(ratio)
     size = 2 * n - 1 if n % 2 else 2 * n - 3
     num = Poly([3.0 / 16.0 * (x + -1.0 * (q * y)) for x, y in zip(sq[:size], cross)])
-    _refuse_overflow(num.coeffs)
+    _refuse_overflow(num)
     # N(r) = (3/16) f'(r)^2 != 0 at each simple root r of f: nothing cancels
     lead = f.coeffs[-1]
     p2 = RationalFn(num, lead * lead, tuple(r for r in roots for _ in range(2)))
@@ -270,15 +271,14 @@ def _infinity_pole_orders(ode: SecondOrderODE) -> tuple:
     p(1/w) ~ w^-e with e = deg num - #poles, so P2 has a pole of order e + 4
     and p1(1/w)/w^2 one of order e + 2, which dominates 2/w unless e = -1.
     There p1 ~ r/z with r = num lead / den_lead, P1 ~ (2 - r)/w, and the pole
-    goes iff 2 den_lead - num lead vanishes (see _vanishes).
+    goes iff 2 den_lead - num lead is exactly 0 (named_equation pins it).
     """
     p1, p2 = ode.p1, ode.p2
     o2 = 0 if p2.is_zero else max(0, p2.num.degree - len(p2.den_roots) + 4)
     e = p1.num.degree - len(p1.den_roots)
     if p1.is_zero or e != -1:
         return max(1, e + 2), o2  # the zero p1 leaves P1 = 2/w
-    twice_lead, top = 2 * p1.den_lead, p1.num.coeffs[-1]
-    return (0 if _vanishes(twice_lead - top, (twice_lead, top)) else 1), o2
+    return (0 if 2 * p1.den_lead - p1.num.coeffs[-1] == 0 else 1), o2
 
 
 def _kind(o1: int, o2: int) -> PointKind:

@@ -1,13 +1,12 @@
 """Shared test utilities: reference-table loading, numeric parsing, the
 reference JSON encoder and a reference classification of singular points."""
 
-import cmath
 import json
 import math
 import pathlib
 from fractions import Fraction
 
-from fuchsian.fode import VANISH_TOL, PointClass, PointKind
+from fuchsian.fode import PointClass, PointKind
 from fuchsian.moebius import INFINITY
 from fuchsian.report import round_sig
 
@@ -97,16 +96,14 @@ def reference_infinity_orders(ode):
 def reference_infinity_pole(p1):
     """1 if P1 keeps its simple pole at infinity when deg den - deg num = 1.
     There p1 ~ r/z with r = num lead / den_lead, so P1 ~ (2 - r)/w, and the
-    pole goes only when 2 den_lead - num lead is finite and within
-    VANISH_TOL of the sum of its two terms' moduli (hypot does not raise:
-    a modulus past the float range makes that bound infinite, which keeps it)."""
-    two_lead, top = 2 * complex(p1.den_lead), p1.num.coeffs[-1]
-    diff = two_lead - top
-    bound = (VANISH_TOL * math.hypot(two_lead.real, two_lead.imag)
-             + VANISH_TOL * math.hypot(top.real, top.imag))
-    if cmath.isfinite(diff) and math.isfinite(bound) and math.hypot(diff.real, diff.imag) <= bound:
-        return 0
-    return 1
+    pole goes only when num lead is exactly 2 den_lead: every part finite and
+    equal as an exact rational (so a doubled lead past the float range keeps it)."""
+    lead, top = complex(p1.den_lead), complex(p1.num.coeffs[-1])
+    parts = (lead.real, lead.imag, top.real, top.imag)
+    if not all(map(math.isfinite, parts)):
+        return 1
+    lr, li, tr, ti = map(Fraction, parts)
+    return 0 if (2 * lr, 2 * li) == (tr, ti) else 1
 
 
 def reference_kind(o1, o2):

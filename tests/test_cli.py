@@ -196,14 +196,15 @@ def test_closed_stdout_exits_without_traceback():
 
 def test_params_near_the_float_range_classify_without_root_finding(capsys):
     # finite --params whose coefficient ratio used to overflow the root finder;
-    # num(1) = c - 1 - a is -1, far below the noise 1e-12 * (|c| + |1 + a|) of
-    # about 2.8e296 (each term scaled before the sum, which would overflow), so
-    # the pole at 1 cancels
+    # the residue c - 1 - a - b at 1 is exactly -1, although the float sum
+    # 1 + a + b rounds onto c, so the pole at 1 stays
     rc, out, err = invoke(capsys, "ode", "classify", "--named", "Hypergeometric",
                           "--params", "1e308,1e308", "0", "1e308,1e308")
     assert (rc, err) == (0, "")
     doc = json.loads(out)
-    assert [p["location"] for p in doc["singular_points"]] == [[0.0, 0.0], "infinity"]
+    assert [(p["location"], p["kind"]) for p in doc["singular_points"]] == [
+        ([0.0, 0.0], "RegularSingular"), ([1.0, 0.0], "RegularSingular"),
+        ("infinity", "RegularSingular")]
 
 
 def test_cancelled_heun_pole_leaves_an_exact_numerator(capsys):
@@ -321,12 +322,11 @@ def test_heun_pole_merging_into_0_or_1_is_a_domain_error(capsys, a):
 
 
 def test_heun_pole_with_a_modulus_past_the_float_range_is_a_domain_error(capsys):
-    # finite parts, but |a| overflows in the coincidence check
+    # finite parts, but gamma a and the other products with a overflow p1's numerator
     rc, out, err = invoke(capsys, "ode", "classify", "--named", "Heun",
                           "--params", "1", "2", "3", "4", "5", "1.5e308,1.5e308", "1")
     assert (rc, out) == (2, "")
-    assert err == ("error: Heun pole a = (1.5e+308+1.5e+308j) has a modulus"
-                   " past the float range\n")
+    assert err == "error: coefficient overflow: [(inf+infj), (-inf-infj), (12+0j)]\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -402,17 +402,45 @@ def test_ode_classify_named(capsys):
                      "infinity": "RegularSingular"}
 
 
-def test_ode_classify_keeps_a_pole_with_a_small_residue(capsys):
-    # p1 = (1e-11 - 2z)/(z(1-z)): residue 1e-11 at 0, above the 2e-12 noise bound
+@pytest.mark.parametrize("c", ["1e-11", "2e-12", "-1e-12"])
+def test_ode_classify_keeps_a_pole_with_a_small_residue(capsys, c):
+    # p1 = (c - 2z)/(z(1-z)): residue c at 0, which is not 0 however small
     rc, out, _ = invoke(capsys, "ode", "classify", "--named", "Hypergeometric",
-                        "--params", "0", "1", "1e-11")
+                        "--params", "0", "1", c)
     doc = json.loads(out)
     assert rc == 0
     kinds = {str(p["location"]): p["kind"] for p in doc["singular_points"]}
     assert kinds == {"[0.0, 0.0]": "RegularSingular",
                      "[1.0, 0.0]": "RegularSingular",
                      "infinity": "Ordinary"}
-    assert doc["p1"]["numerator"] == [[1e-11, 0.0], [-2.0, 0.0]]
+    assert doc["p1"]["numerator"] == [[float(c), 0.0], [-2.0, 0.0]]
+
+
+@pytest.mark.parametrize("argv, locations", [
+    # epsilon = 1e-20 is the residue at 3, and gamma + delta + epsilon is not 2
+    (["Heun", "0", "2", "1", "1", "1e-20", "3", "0"], [[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]),
+    # a = 1e-10 differs from 0, so it is a fourth singular point
+    (["Heun", "1", "2", "3", "4", "5", "1e-10", "0.5"],
+     [[0.0, 0.0], [1e-10, 0.0], [1.0, 0.0]]),
+], ids=["heun-epsilon-1e-20", "heun-a-1e-10"])
+def test_ode_classify_keeps_every_pole_whose_residue_is_not_0(capsys, argv, locations):
+    rc, out, err = invoke(capsys, "ode", "classify", "--named", argv[0], "--params", *argv[1:])
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["singular_points"] == [{"kind": "RegularSingular", "location": z}
+                                      for z in [*locations, "infinity"]]
+    assert doc["fuchsian"] is True
+
+
+def test_ode_classify_reads_params_as_their_decimal_text(capsys):
+    # c = 1 + a + b holds for the typed decimals, not for the float sum
+    # 1.3000000000000003, so the pole at 1 cancels and p1 = -1.3/(-z)
+    rc, out, err = invoke(capsys, "ode", "classify", "--named", "Hypergeometric",
+                          "--params", "0.1", "0.2", "1.3")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["p1"] == {"numerator": [[-1.3, 0.0]], "denominator": [[0.0, 0.0], [-1.0, 0.0]]}
+    assert [p["location"] for p in doc["singular_points"]] == [[0.0, 0.0], [1.0, 0.0], "infinity"]
 
 
 def test_ode_classify_unknown_name(capsys):

@@ -13,7 +13,7 @@ from fuchsian.curves import (
     integer_roots,
     tessellation_for_curve,
 )
-from fuchsian.fode import _build_rational, whittaker_equation
+from fuchsian.fode import named_equation, whittaker_equation
 
 # integer-root expansions, coefficients lowest first
 EXPANSIONS = {
@@ -149,11 +149,11 @@ def test_poly_roots_overflow_is_a_value_error():
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
                                  complex(0.0, math.inf), 1.5e308 + 1.5e308j])
-def test_poly_trimmed_rejects_overflowed_coefficients(bad):
-    # the rational-function builder refuses a numerator it cannot size, and
-    # whittaker_equation an f
+def test_coefficient_overflow_is_refused(bad):
+    # named_equation refuses a numerator it cannot size (here bad is c, p1's
+    # constant term) before any residue is decided, and whittaker_equation an f
     with pytest.raises(ValueError, match="coefficient overflow"):
-        _build_rational(Poly((1.0, bad, 2.0)), 1.0, [0.0])
+        named_equation("Hypergeometric", [0.0, 0.0, bad])
     with pytest.raises(ValueError, match="coefficient overflow"):
         whittaker_equation(Poly((-1.0, bad, 0.0, 0.0, 0.0, 1.0)))
 

@@ -39,7 +39,7 @@ def assert_ordinary(ode, z):
 
 
 def test_rational_fn_cancellation():
-    f = _build_rational(expand_poly([1.0, -1.0]), 1.0, [1.0])  # (z^2-1)/(z-1)
+    f = _build_rational(expand_poly([1.0, -1.0]), 1.0, [1.0], (True,))  # (z^2-1)/(z-1)
     assert reference_pole_order(f, 1.0) == 0
     assert f.den_roots == ()
     assert f.num.coeffs == (1, 1)  # Horner's quotient: exactly z + 1
@@ -136,10 +136,17 @@ def test_heun():
 
 @pytest.mark.parametrize("a", [0.0, 1.0, 1e-12, 1.0 + 1e-12j, 1e-9, 1.0 - 2e-9j])
 def test_heun_third_pole_must_differ_from_0_and_1(a):
-    # a merged pole would leave a three-point equation labelled Heun
-    with pytest.raises(ValueError, match="coincides with 0 or 1"):
-        named_equation("Heun", [1.0, 2.0, 3.0, 4.0, 5.0, a, 1.0])
-    named_equation("Heun", [1.0, 2.0, 3.0, 4.0, 5.0, a + 1e-3, 1.0])
+    # a merged pole would leave a three-point equation labelled Heun; any other
+    # a, however near 0 or 1, is a fourth regular singular point
+    params = [1.0, 2.0, 3.0, 4.0, 5.0, a, 1.0]
+    if a in (0, 1):
+        with pytest.raises(ValueError, match="coincides with 0 or 1"):
+            named_equation("Heun", params)
+        return
+    ode = named_equation("Heun", params)
+    assert [p.location for p in singular_points(ode)[:-1]] == \
+        sorted([0j, 1 + 0j, complex(a)], key=lambda z: (z.real, z.imag))
+    assert all(p.kind is PointKind.REGULAR_SINGULAR for p in singular_points(ode))
 
 
 @pytest.mark.parametrize("a", [1.0000000000000003e-9, -1.0000000000000003e-9])
@@ -277,7 +284,8 @@ def test_classification_survives_common_factors(root_calls):
     base = named_equation("Legendre", [2.0])
     extra = [5.0, -2.0 + 1.0j]
     inflated = SecondOrderODE(*(
-        _build_rational(rf.num * expand_poly(extra), rf.den_lead, rf.den_roots + tuple(extra))
+        _build_rational(rf.num * expand_poly(extra), rf.den_lead, rf.den_roots + tuple(extra),
+                        (False,) * len(rf.den_roots) + (True,) * len(extra))
         for rf in (base.p1, base.p2)))
     # the poles are known exactly, so Horner's scheme cancels them without roots
     assert root_calls == []
@@ -301,7 +309,7 @@ def test_named_and_curve_equations_find_no_roots(root_calls):
         params = [0.5 + 0.25j * k for k in range(count)]
         ode = named_equation(name, params)
         assert is_fuchsian(ode) and len(singular_points(ode)) == 3 + (name == "Heun")
-    # a numerator that vanishes at a pole cancels it by division, not by roots;
+    # a numerator that vanishes exactly at a pole cancels it by division, not by roots;
     # ab = 0 and alpha = q = 0 make p2 = 0, so only p1's poles are singular
     for name, params, want in (
             ("Hypergeometric", [0.5 + 0.25j, 0, 0], [1]),  # c = 0
@@ -336,6 +344,20 @@ def test_coefficient_ratio_overflow_keeps_the_poles(build):
     assert [(p.location, p.kind) for p in singular_points(build())] == [
         (0j, PointKind.REGULAR_SINGULAR), (1 + 0j, PointKind.REGULAR_SINGULAR),
         (INFINITY, PointKind.REGULAR_SINGULAR)]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("Hypergeometric", [math.inf, -math.inf, 1]),
+    ("Hypergeometric", [math.nan, 1, 1]),
+    ("Heun", [1, 2, math.inf, -math.inf, 5, 3, 1]),
+    ("Heun", [math.inf, 0, 1, 1, 1, 3, 1]),
+    ("Heun", [1, 2, 3, 4, 5, math.nan, 1]),
+], ids=["hypergeometric-inf-minus-inf", "hypergeometric-nan", "heun-inf-minus-inf",
+        "heun-inf-times-0", "heun-a-nan"])
+def test_non_finite_params_are_refused_before_any_residue_is_decided(name, params):
+    # the exact residues would read inf - inf or inf * 0; the numerators are refused first
+    with pytest.raises(ValueError, match="coefficient overflow"):
+        named_equation(name, params)
 
 
 def test_curve_ode_all_degrees():
@@ -393,8 +415,9 @@ def test_infinity_ordinary_with_finite_poles():
 @pytest.mark.parametrize("num, poles, kind", [
     # residue 3; the far pole's size does not enter the residue test
     ((0.0, 3.0), (1e13 + 0j, 1 + 0j), PointKind.REGULAR_SINGULAR),
-    ((2.0 + 2e-14,), (0j,), PointKind.ORDINARY),  # residue 2 up to rounding
+    ((2.0 + 2e-14,), (0j,), PointKind.REGULAR_SINGULAR),  # residue 2 + 2e-14 is not 2
     ((2.0 + 1e-10,), (0j,), PointKind.REGULAR_SINGULAR),
+    ((2.0,), (0j,), PointKind.ORDINARY),  # residue exactly 2
 ])
 def test_residue_of_p1_at_infinity_decides_its_simple_pole(num, poles, kind):
     ode = SecondOrderODE(RationalFn(Poly(num), 1.0, poles), ZERO_RATIONAL)

@@ -107,10 +107,17 @@ NAMED_CASES = [
     ("Heun", ["0", "2", "1", "1/2", "9/20", "1000000000000", "0"]),
     # gamma + delta + epsilon = 2 beside a far pole: infinity is ordinary
     ("Heun", ["0", "2", "1", "1/2", "1/2", "2000000000000", "0"]),
+    # epsilon = 1e-20 keeps the pole at 3, and gamma + delta + epsilon != 2 infinity's
+    ("Heun", ["0", "2", "1", "1", "1e-20", "3", "0"]),
+    # a = 1e-10 is a fourth point beside 0
+    ("Heun", ["1", "2", "3", "4", "5", "1e-10", "1/2"]),
     ("Hypergeometric", ["1/2", "1/2", "1"]),
     ("Hypergeometric", ["1/3", "2/5", "7/4"]),
     ("Hypergeometric", ["0", "1", "0"]),  # p1 pole at 0 cancels, p2 = 0
     ("Hypergeometric", ["0", "1", "10000000000000"]),  # 1 + a + b = 2: infinity ordinary
+    ("Hypergeometric", ["0", "1", "2e-12"]),  # a small residue c at 0 keeps its pole
+    ("Hypergeometric", ["0", "1", "-1e-12"]),
+    ("Hypergeometric", ["1/10", "1/5", "13/10"]),  # c = 1 + a + b in decimals
     ("WhittakerHypergeometric", []),
 ]
 

@@ -65,6 +65,11 @@ DELETED = [
     ("fode", "COEFF_TRIM_TOL"),
     ("fode", "_size_scan"),
     ("fode", "_top_trimmed"),
+    # every catalog pole is decided by its exact residue, and a Heun a is
+    # refused only when it equals 0 or 1
+    ("fode", "_vanishes"),
+    ("fode", "VANISH_TOL"),
+    ("fode", "HEUN_POLE_GAP"),
 ]
 
 

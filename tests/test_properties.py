@@ -1,11 +1,12 @@
 """Property tests: canonical JSON, Moebius maps, half-turns, disk isometries,
 geodesic midpoints, genus bounds, polynomial expansion and roots, the
-Whittaker numerator, rational-function cancellation, singular-point
+Whittaker numerator, the catalog's exact pole decisions, singular-point
 classification."""
 
 import cmath
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fuchsian.curves import Poly, expand_poly
 from fuchsian.embed import genus_range
 from fuchsian.fode import (
-    ZERO_RATIONAL, PointKind, RationalFn, SecondOrderODE, _build_rational,
-    _infinity_pole_orders, is_fuchsian, singular_points, whittaker_equation)
+    ZERO_RATIONAL, PointKind, RationalFn, SecondOrderODE, _infinity_pole_orders,
+    is_fuchsian, named_equation, singular_points, whittaker_equation)
 from fuchsian.hyperbolic import ModelPoint, distance, geodesic_midpoint, half_turn
 from fuchsian.moebius import (
     INFINITY, MoebiusMap, apply, compose, is_infinity, is_projectively_identity)
@@ -45,13 +46,6 @@ ROOTS = st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
                                     allow_infinity=False) | st.integers(-10, 10),
                  max_size=12)
 
-# up to 6 roots on distinct cells of a 0.75-spaced 5x5 grid, each moved by at
-# most 0.1, so any two are at least 0.55 apart; each is tagged for the
-# numerator only (A), the denominator only (B) or both (C)
-TAGGED_ROOTS = st.lists(
-    st.tuples(st.integers(-2, 2), st.integers(-2, 2),
-              st.floats(-0.1, 0.1), st.floats(-0.1, 0.1), st.sampled_from("ABC")),
-    unique_by=lambda t: t[:2], max_size=6)
 ANGLES = st.floats(0.0, 2.0 * math.pi)
 SCALARS = st.builds(cmath.rect, st.floats(0.5, 2.0), ANGLES)
 
@@ -193,24 +187,102 @@ def test_whittaker_numerator_is_the_poly_expression(roots, lead):
     assert repr(whittaker_equation(f).p2.num) == repr(Poly(want.scaled(3 / 16).coeffs[:size]))
 
 
-@PROPERTY
-@given(TAGGED_ROOTS, SCALARS, SCALARS, ANGLES)
-# a pole at 1e-12j stays beside the common root -0.75j, which cancels
-@example([(0, 0, 0.0, 1e-12, "B"), (0, 1, 0.0, 0.0, "A"), (0, -1, 0.0, 0.0, "C")],
-         1, 1, 0.0)
-def test_rational_fn_cancels_exactly_the_common_roots(tagged, l1, l2, angle):
-    roots = {tag: [complex(0.75 * i + dx, 0.75 * j + dy)
-                   for i, j, dx, dy, t in tagged if t == tag] for tag in "ABC"}
-    num = expand_poly(roots["C"] + roots["A"]).scaled(l1)
-    den = expand_poly(roots["C"] + roots["B"]).scaled(l2)
-    rf = _build_rational(num, l2, roots["C"] + roots["B"])
-    assert all(reference_pole_order(rf, b) == 1 for b in roots["B"])
-    assert all(reference_pole_order(rf, c) == 0 for c in roots["C"])
-    # |z| = 3 keeps z at least 0.75 from every root, which lie within 1.6 * sqrt(2)
-    z = cmath.rect(3.0, angle)
-    # Horner's error on num(z)/den(z) scales with sum |c_k| |z|^k / |den(z)|
-    scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(num.coeffs)) / abs(den(z))
-    assert abs(rf(z) - num(z) / den(z)) <= 1e-9 * max(1.0, scale)
+# short decimals, as typed at the CLI: each float's repr gives its decimal back
+DECIMALS = st.decimals(-20, 20, places=2)
+COMPLEX_DECIMALS = st.tuples(DECIMALS, DECIMALS)
+
+
+def _floats(*pairs):
+    return [complex(float(x), float(y)) for x, y in pairs]
+
+
+def _mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _exact_poles(poles, residues):
+    """The poles whose exact residue, a (real, imaginary) pair, is not 0."""
+    return [complex(s) for s, r in zip(poles, residues) if r != (0, 0)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(COMPLEX_DECIMALS, min_size=3, max_size=3),
+       st.sampled_from(["free", "c = 0", "c = 1 + a + b", "a + b = 1",
+                        "re c = re(1 + a + b)", "re(a + b) = 1"]))
+@example([(Decimal("0.1"), 0), (Decimal("0.2"), 0), (Decimal("1.3"), 0)], "free")
+# the real parts of c = 1 + a + b and of a + b = 1 hold, the imaginary ones do not
+@example([(Decimal("0.5"), 1), (Decimal("0.25"), 2), (Decimal("1.75"), 0)], "free")
+@example([(Decimal("0.5"), 1), (Decimal("0.5"), 2), (Decimal(3), 0)], "free")
+def test_hypergeometric_poles_follow_the_exact_residues(params, shape):
+    (ar, ai), (br, bi), (cr, ci) = params
+    if shape == "c = 0":
+        cr, ci = 0, 0
+    elif shape == "c = 1 + a + b":
+        cr, ci = 1 + ar + br, ai + bi
+    elif shape == "a + b = 1":
+        br, bi = 1 - ar, -ai
+    elif shape == "re c = re(1 + a + b)":  # the imaginary parts decide
+        cr = 1 + ar + br
+    elif shape == "re(a + b) = 1":
+        br = 1 - ar
+    ode = named_equation("Hypergeometric", _floats((ar, ai), (br, bi), (cr, ci)))
+    # p1 = [c - (1 + a + b) z] / (z (1 - z)) and p2 = -ab / (z (1 - z))
+    if (cr, ci, 1 + ar + br, ai + bi) == (0, 0, 0, 0):
+        assert ode.p1.is_zero
+    else:
+        assert list(ode.p1.den_roots) == _exact_poles(
+            (0, 1), ((cr, ci), (cr - 1 - ar - br, ci - ai - bi)))
+    assert _infinity_pole_orders(ode)[0] == (0 if (ar + br, ai + bi) == (1, 0) else 1)
+    ab_zero = (ar, ai) == (0, 0) or (br, bi) == (0, 0)
+    assert list(ode.p2.den_roots) == ([] if ab_zero else [0j, 1 + 0j])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(COMPLEX_DECIMALS, min_size=7, max_size=7),
+       st.sampled_from(["free", "gamma = 0", "delta = 0", "epsilon = 0",
+                        "gamma + delta + epsilon = 2", "re(gamma + delta + epsilon) = 2"]),
+       st.sampled_from(["free", "q = 0", "q = alpha beta", "q = alpha beta a",
+                        "re q = re(alpha beta)", "re q = re(alpha beta a)"]))
+@example([(Decimal(0), 0), (Decimal(2), 0), (Decimal(1), 0), (Decimal(1), 0),
+          (Decimal("1e-20"), 0), (Decimal(3), 0), (Decimal(0), 0)], "free", "free")
+# alpha beta = 2 + 3i and alpha beta a = 4 + 6i; q and gamma + delta + epsilon
+# match them, and 2, in the real part only
+@example([(Decimal(1), 1), (Decimal("2.5"), Decimal("0.5")), (Decimal(1), 1), (Decimal(1), 0),
+          (Decimal(0), 0), (Decimal(2), 0), (Decimal(2), 0)], "free", "free")
+@example([(Decimal(1), 1), (Decimal("2.5"), Decimal("0.5")), (Decimal(1), 0), (Decimal(1), 0),
+          (Decimal(0), 0), (Decimal(2), 0), (Decimal(4), 0)], "free", "free")
+def test_heun_poles_follow_the_exact_residues(params, p1_shape, p2_shape):
+    al, be, g, d, e, a, q = params
+    assume(a not in ((0, 0), (1, 0)))
+    if p1_shape == "gamma + delta + epsilon = 2":
+        e = (2 - g[0] - d[0], -g[1] - d[1])
+    elif p1_shape.startswith("re("):  # the imaginary parts decide
+        e = (2 - g[0] - d[0], e[1])
+    elif p1_shape != "free":
+        g, d, e = ((0, 0) if p1_shape.startswith(name) else x
+                   for name, x in (("gamma", g), ("delta", d), ("epsilon", e)))
+    ab = _mul(al, be)
+    q = {"free": q, "q = 0": (0, 0), "q = alpha beta": ab,
+         "q = alpha beta a": _mul(ab, a), "re q = re(alpha beta)": (ab[0], q[1]),
+         "re q = re(alpha beta a)": (_mul(ab, a)[0], q[1])}[p2_shape]
+    ode = named_equation("Heun", _floats(al, be, g, d, e, a, q))
+    poles = (0, 1, _floats(a)[0])
+    # p1 = gamma/z + delta/(z-1) + epsilon/(z-a), p2 = (alpha beta z - q)/(z(z-1)(z-a))
+    if g == d == e == (0, 0):
+        assert ode.p1.is_zero
+    else:
+        assert list(ode.p1.den_roots) == _exact_poles(poles, (g, d, e))
+    three = (g[0] + d[0] + e[0], g[1] + d[1] + e[1])
+    assert _infinity_pole_orders(ode)[0] == (0 if three == (2, 0) else 1)
+    if ab == q == (0, 0):
+        assert ode.p2.is_zero
+    else:
+        assert list(ode.p2.den_roots) == _exact_poles(
+            poles, (q, _sub(ab, q), _sub(_mul(ab, a), q)))
 
 
 # poles drawn from a small pool (exact duplicates, and -0.0 next to 0.0),
@@ -223,7 +295,7 @@ POLES = st.lists(
                 st.sampled_from(POLE_POOL), st.floats(0.0, 4e-9), ANGLES)
     | st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
     max_size=6)
-# |lead| past the float range overflows the residue test at infinity, which keeps the pole
+# 2 lead past the float range never equals a finite top coefficient: infinity keeps its pole
 LEADS = SCALARS | st.just(complex(1.5e308, 1.5e308))
 
 
@@ -232,7 +304,7 @@ def rational_specs(draw):
     """(numerator coefficients, or None for the zero function; den_lead; poles).
     "e1=-1" gives deg num = #poles - 1, where infinity needs the residue test;
     "cancel" also sets num's top coefficient to 2 lead, which cancels there,
-    or to within float noise of it, or just off it."""
+    or to a rounding step or two off it, or further off."""
     poles = draw(POLES)
     lead = draw(LEADS)
     shape = draw(st.sampled_from(["zero", "any", "e1=-1", "cancel"]))
@@ -260,7 +332,7 @@ def _rational(spec):
          ([1.0], 1.0, [complex(0.0, -0.0), 1 + 0j, 1 + 0j]))
 @example(([1.0], 1.0, [0j]), ([1.0], 1.0, [5e-10 + 0j]))  # two points, not one
 @example(([1.0, 2.0], 1.0, [0j, 1 + 0j]), (None, 1.0, []))  # residue 2 at infinity
-@example(([1.0, 2.0 + 4e-15], 1.0, [0j, 1 + 0j]), (None, 1.0, []))  # noise at w^0
+@example(([1.0, 2.0 + 4e-15], 1.0, [0j, 1 + 0j]), (None, 1.0, []))  # residue 2 + 4e-15
 @example(([2.0 + 2e-14], 1.0, [0j]), (None, 1.0, []))  # the same, with no other term
 @example(([0.0, 3.0], 1.0, [1e13 + 0j, 1 + 0j]), (None, 1.0, []))  # residue 3, far pole
 @example(([1.0], complex(1.5e308, 1.5e308), [1 + 0j]), (None, 1.0, []))  # overflow
@@ -296,8 +368,8 @@ def test_roots_equal_numpy_roots_bit_for_bit(zeros, cs):
         assert repr(Poly(cs).roots()) == repr(want)  # repr tells -0.0 from 0.0
 
 
-# coefficients around the 1e-12 noise bound: signed zeros, values just inside
-# and outside it, the smallest subnormal, moduli 1e-150 to 1e150, overflow
+# coefficients of every size: signed zeros, values near 1e-12, the smallest
+# subnormal, moduli 1e-150 to 1e150, overflow
 RESIDUE_COEFFS = st.lists(
     st.sampled_from([0j, complex(-0.0, -0.0), complex(0.0, -0.0), 1.0, -1j,
                      1e-12, 1.0000001e-12, 9.999999e-13, 5e-324,
