@@ -74,12 +74,10 @@ class Poly:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(map(complex, self.coeffs))
+        cs = tuple(map(complex, self.coeffs)) or (0j,)
         # strip trailing (high-order) zeros but keep at least one entry
         while len(cs) > 1 and cs[-1] == 0:
             cs = cs[:-1]
-        if not cs:
-            cs = (0j,)
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
@@ -92,10 +90,7 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        # zero polynomial reports -1
-        if len(self.coeffs) == 1 and self.coeffs[0] == 0:
-            return -1
-        return len(self.coeffs) - 1
+        return -1 if self.coeffs == (0j,) else len(self.coeffs) - 1  # zero reports -1
 
     @property
     def is_zero(self) -> bool:
@@ -122,12 +117,10 @@ class Poly:
         return Poly(_product(self.coeffs, other.coeffs))
 
     def scaled(self, s: complex) -> "Poly":
-        return Poly(tuple(s * c for c in self.coeffs))
+        return Poly([s * c for c in self.coeffs])
 
     def derivative(self) -> "Poly":
-        if len(self.coeffs) == 1:
-            return Poly.zero()
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
+        return Poly([k * c for k, c in enumerate(self.coeffs) if k])
 
     def roots(self) -> tuple:
         """np.roots's companion-matrix eigenvalues, then its 0j roots: bit for bit."""
@@ -147,7 +140,7 @@ class Poly:
             found = np.linalg.eigvals(a)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"root finding failed: {exc}") from exc
-        return (*map(complex, found), *(0j,) * k)
+        return (*found.tolist(), *(0j,) * k)
 
 
 def _product(a, b) -> list:

@@ -16,13 +16,12 @@ goes only when its residue, exact in the parameters' decimal reprs, is 0.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from .curves import CurveSpec, Poly, _product, expand_poly
 from .moebius import INFINITY
@@ -31,6 +30,9 @@ from .moebius import INFINITY
 # numerically splits by about sqrt(machine eps * coefficient scale), up to
 # ~1e-7, so the repeated-root detector must sit well above that
 DISTINCT_ROOT_TOL = 1e-6
+# decimals in which sums and products of float reprs never round; localcontext
+# copies it, so no flag carries over from one call to the next
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,11 @@ class RationalFn:
 def _refuse_overflow(*polys: Poly) -> None:
     """Raise ValueError if a coefficient's modulus is not a finite float."""
     for p in polys:
-        if not all(math.isfinite(math.hypot(c.real, c.imag)) for c in p.coeffs):
+        try:  # abs raises OverflowError where a modulus overflows
+            finite = all(map(math.isfinite, map(abs, p.coeffs)))
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"coefficient overflow: {list(p.coeffs)}")
 
 
@@ -126,19 +132,17 @@ class SecondOrderODE:
     def _classified_points(self) -> tuple:
         """Finite poles of p1 and p2 (equal ones merged, sorted) plus infinity,
         classified on first use and kept: the equation is immutable."""
-        t1, t2 = (Counter(() if rf.is_zero else rf.den_roots) for rf in (self.p1, self.p2))
-        finite = sorted({**t1, **t2}, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-        return (*(PointClass(z, _kind(t1[z], t2[z])) for z in finite),
+        r1, r2 = (() if rf.is_zero else rf.den_roots for rf in (self.p1, self.p2))
+        if len(finite := [*dict.fromkeys(r1 + r2)]) > 1:  # no sort keys for one point
+            finite.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+        return (*(PointClass(z, _kind(r1.count(z), r2.count(z))) for z in finite),
                 PointClass(INFINITY, _kind(*_infinity_pole_orders(self))))
 
 
-_NAMED_PARAM_COUNTS = {
-    "Legendre": 1,
-    "Tchebychev": 1,
-    "Heun": 7,
-    "Hypergeometric": 3,
-    "WhittakerHypergeometric": 0,
-}
+# lower-case name -> (catalog name, parameter count)
+_CATALOG = {name.lower(): (name, count) for name, count in (
+    ("Legendre", 1), ("Tchebychev", 1), ("Heun", 7), ("Hypergeometric", 3),
+    ("WhittakerHypergeometric", 0))}
 
 
 def named_equation(name: str, params=()) -> SecondOrderODE:
@@ -152,12 +156,10 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
     Hypergeometric(a,b,c):   p1 = [c-(1+a+b)z]/(z(1-z)), p2 = -ab/(z(1-z))
     WhittakerHypergeometric: 25x(x-1) y'' + 20(2x-1) y' + 2 y = 0
     """
-    canonical = {k.lower(): k for k in _NAMED_PARAM_COUNTS}
-    key = canonical.get(str(name).lower())
+    key, want = _CATALOG.get(str(name).lower(), (None, 0))
     if key is None:
         raise ValueError(f"no equation named {name!r}")
     params = [complex(p) for p in params]
-    want = _NAMED_PARAM_COUNTS[key]
     if len(params) != want:
         raise ValueError(f"{key} takes {want} parameter(s), got {len(params)}")
 
@@ -178,7 +180,7 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
         num2 = Poly((-q, al * be))
         _refuse_overflow(num1, num2)
         # p2's residues at 0, 1, a: q, alpha beta - q, alpha beta a - q
-        with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        with localcontext(_EXACT):
             (alr, ali), (ber, bei), (gr, gi), (dr, di), (er, ei), (ar, ai), (qr, qi) = (
                 (Decimal(repr(x.real)), Decimal(repr(x.imag))) for x in params)
             abr, abi = alr * ber - ali * bei, alr * bei + ali * ber
@@ -194,8 +196,13 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
         a, b, c = params
         # z(1-z) = -1 * z(z-1)
         num1, num2 = Poly((c, -(1.0 + a + b))), Poly((-a * b,))
-        _refuse_overflow(num1, num2)
-        with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        _refuse_overflow(num1, num2)  # an overflow is reported with the float sum
+        try:  # 1 + a + b correctly rounded, part by part (1 is 1.0 + 0.0j)
+            num1 = Poly((c, -complex(math.fsum((1.0, a.real, b.real)),
+                                     math.fsum((0.0, a.imag, b.imag)))))
+        except OverflowError:  # fsum's partial sums overflowed: keep the float sum
+            pass
+        with localcontext(_EXACT):
             # residues c - 1 - a - b at 1 and 1 + a + b at infinity, real parts first
             ab = Decimal(repr(a.real)) + Decimal(repr(b.real))
             at_1, at_inf = Decimal(repr(c.real)) == 1 + ab, ab == 1
@@ -231,17 +238,17 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
                 raise ValueError(f"roots {r} and {other} coincide")
     g = math.ceil(n / 2) - 1
     ratio = Fraction(2 * g + 2, 2 * g + 1)
-    df = f.derivative()
+    df = [k * c for k, c in enumerate(f.coeffs) if k]
     # N = (3/16)(f'^2 - ratio f'' f) has degree 2n - 2 and top coefficient
     # (3/16) lead^2 for odd n; for even n its top two coefficients are 0
-    sq, cross = _product(df.coeffs, df.coeffs), _product(df.derivative().coeffs, f.coeffs)
+    sq, cross = _product(df, df), _product([k * c for k, c in enumerate(df) if k], f.coeffs)
     q = float(ratio)
     size = 2 * n - 1 if n % 2 else 2 * n - 3
     num = Poly([3.0 / 16.0 * (x + -1.0 * (q * y)) for x, y in zip(sq[:size], cross)])
     _refuse_overflow(num)
     # N(r) = (3/16) f'(r)^2 != 0 at each simple root r of f: nothing cancels
     lead = f.coeffs[-1]
-    p2 = RationalFn(num, lead * lead, tuple(r for r in roots for _ in range(2)))
+    p2 = RationalFn(num, lead * lead, tuple(chain.from_iterable(zip(roots, roots))))
     return SecondOrderODE(ZERO_RATIONAL, p2,
                           params={"genus": g, "coefficient_ratio": ratio})
 

@@ -270,7 +270,7 @@ def test_overflowed_coefficient_is_a_domain_error(capsys, argv):
 
 
 @pytest.mark.parametrize("a", ["1.0000000000000003e-9", "-1.0000000000000003e-9"])
-def test_heun_pole_just_past_the_coincidence_bound_is_regular(capsys, a):
+def test_heun_pole_near_0_is_regular(capsys, a):
     # a is its own point; its pole orders count only the poles equal to a
     rc, out, err = invoke(capsys, "ode", "classify", "--named", "Heun", "--params",
                           "1", "2", "3", "4", "5", a, "0.5", "--precision", "17")
@@ -449,6 +449,18 @@ def test_ode_classify_reads_params_as_their_decimal_text(capsys):
     doc = json.loads(out)
     assert doc["p1"] == {"numerator": [[-1.3, 0.0]], "denominator": [[0.0, 0.0], [-1.0, 0.0]]}
     assert [p["location"] for p in doc["singular_points"]] == [[0.0, 0.0], [1.0, 0.0], "infinity"]
+
+
+def test_ode_classify_hypergeometric_p1_survives_a_cancelling_float_sum(capsys):
+    # 1 + a + b is exactly 1 = c, but the float sum 1 + 1e20 - 1e20 is 0; the
+    # pole at 1 cancels and p1 = -1/(-z), not 0
+    rc, out, err = invoke(capsys, "ode", "classify", "--named", "Hypergeometric",
+                          "--params", "1e20", "-1e20", "1")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["p1"] == {"numerator": [[-1.0, 0.0]], "denominator": [[0.0, 0.0], [-1.0, 0.0]]}
+    assert doc["singular_points"] == [{"kind": "RegularSingular", "location": z}
+                                      for z in ([0.0, 0.0], [1.0, 0.0], "infinity")]
 
 
 def test_ode_classify_unknown_name(capsys):

@@ -127,6 +127,22 @@ def test_hypergeometric():
     assert singular_points(ode)[-1].kind is PointKind.REGULAR_SINGULAR  # infinity
 
 
+def test_hypergeometric_p1_has_the_correctly_rounded_1_plus_a_plus_b():
+    # the float sum 1 + 0.1 + 0.2 is 1.3000000000000003; rounded once it is 1.3
+    assert named_equation("Hypergeometric", [0.1, 0.2, 2]).p1.num.coeffs == (2, -1.3)
+    # 1 + 1e20 - 1e20 is exactly 1 = c, while the float sum cancels to 0: the
+    # pole at 1 goes and p1 = -1/(-z) = 1/z, not 0
+    ode = named_equation("Hypergeometric", [1e20, -1e20, 1])
+    assert ode.p1.num.coeffs == (-1,)
+    assert (ode.p1.den_lead, ode.p1.den_roots) == (-1, (0,))
+    assert [(p.location, p.kind) for p in singular_points(ode)] == [
+        (0j, PointKind.REGULAR_SINGULAR), (1 + 0j, PointKind.REGULAR_SINGULAR),
+        (INFINITY, PointKind.REGULAR_SINGULAR)]
+    # a refused numerator is reported as built with the float sum, here 0
+    with pytest.raises(ValueError, match=r"overflow: \[\(1\.5e\+308\+1\.5e\+308j\)\]$"):
+        named_equation("Hypergeometric", [1e20, -1e20, 1.5e308 + 1.5e308j])
+
+
 def test_heun():
     ode = named_equation("Heun", [1.0, 2.0, 0.5, 0.5, 1.0, 3.0, 0.25])
     assert finite_locations(ode) == [0.0, 1.0, 3.0]
@@ -134,7 +150,8 @@ def test_heun():
     assert is_fuchsian(ode)
 
 
-@pytest.mark.parametrize("a", [0.0, 1.0, 1e-12, 1.0 + 1e-12j, 1e-9, 1.0 - 2e-9j])
+@pytest.mark.parametrize("a", [0.0, 1.0, 1e-12, 1.0 + 1e-12j, 1e-9, 1.0 - 2e-9j,
+                               1e-10 - 1j, -1e-10 + 1j])
 def test_heun_third_pole_must_differ_from_0_and_1(a):
     # a merged pole would leave a three-point equation labelled Heun; any other
     # a, however near 0 or 1, is a fourth regular singular point
@@ -144,13 +161,19 @@ def test_heun_third_pole_must_differ_from_0_and_1(a):
             named_equation("Heun", params)
         return
     ode = named_equation("Heun", params)
-    assert [p.location for p in singular_points(ode)[:-1]] == \
-        sorted([0j, 1 + 0j, complex(a)], key=lambda z: (z.real, z.imag))
+    # points sort by real, then imaginary part, each rounded to 9 decimals,
+    # so 1e-10 - 1j comes before 0 and -1e-10 + 1j after it; a sort on the
+    # unrounded parts would list both the other way round
+    locations = [p.location for p in singular_points(ode)[:-1]]
+    assert locations == sorted([0j, 1 + 0j, complex(a)],
+                               key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+    assert locations == {1e-10 - 1j: [a, 0j, 1 + 0j],
+                         -1e-10 + 1j: [0j, a, 1 + 0j]}.get(a, locations)
     assert all(p.kind is PointKind.REGULAR_SINGULAR for p in singular_points(ode))
 
 
 @pytest.mark.parametrize("a", [1.0000000000000003e-9, -1.0000000000000003e-9])
-def test_heun_pole_just_past_the_coincidence_bound_is_its_own_regular_point(a):
+def test_heun_pole_near_0_is_its_own_regular_point(a):
     ode = named_equation("Heun", [1.0, 2.0, 3.0, 4.0, 5.0, a, 0.5])
     assert finite_locations(ode) == sorted([0.0, a, 1.0])
     assert all(p.kind is PointKind.REGULAR_SINGULAR for p in singular_points(ode))

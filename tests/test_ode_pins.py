@@ -5,13 +5,18 @@ the default precision and at --precision 17, and of the precision-17 JSON of
 the Whittaker equation of each integer-root curve polynomial.  Any change to
 a printed coefficient, location, kind or verdict, down to the last digit
 the CLI prints, shows here.  The Whittaker pins hold digits of numerically
-found roots, so they are tied to the numpy/LAPACK build as well.  A
+found roots, so they are tied to the numpy/LAPACK build as well; besides the
+integer-root curves they cover seeded f with complex roots and a complex
+leading coefficient, the shape of the benchmark's separated-roots entries.  A
 printed polynomial keeps every coefficient it was built with, so its length
 is its degree plus one, however large its coefficients are.
 """
 
+import cmath
 import hashlib
 import json
+import math
+import random
 
 import pytest
 
@@ -46,13 +51,41 @@ CLI_PINS = {
         "b9b8ac15409868d35ab8c5cfbd5d02d4774a0eaa61d40e3d86ce08bdaed6e898",
 }
 
-# canonical_json(ode_report(whittaker_equation(expand_poly(integer_roots(n)))), 17)
+# canonical_json(ode_report(whittaker_equation(pinned_f(key))), 17)
 WHITTAKER_PINS = {
     5: "e379b6cdca8bd8991c4e4568c1c82e50b5d416977201fcc9509df3e81fcd865e",
     6: "943bc23194374186454886ca10eca069b00c1cbf20d60dfb6eb40ac24e6bd038",
     7: "d634a8edb206132c6d6e523809a3c87348dbe2b044ab89b0c5290684f1dcf1d4",
     8: "cd5b93433279ee41df1a40ac3dfdd1a1c94b583278a589f141883ab310d69b9c",
+    "complex-5":
+        "fe36ce1e2f2c73c491a5ea758080f7b408cb2b6453feb99cced20163b066ad5d",
+    "complex-6":
+        "7fe01eac5aa1f0640e5c2b98dc8a547e96d2eefec5a3835caa1015c1fe074f76",
+    "complex-7":
+        "303b36f34cc01cfb5121f4150bf7e80efecb9de9b7af9b4763f4b4c07eb9f493",
+    "complex-8":
+        "5cdcb06efd9983d24b29aab69af1679e58573ea6c8304077cc42ee050ef559eb",
+    "complex-9":
+        "0d09d42b55169096cfd0efea0d506f49ee5b0b9f9b2236f36157f16c1b401eb7",
+    "complex-10":
+        "cac0b5cc5a3528b558e3dfb6a1ca70ec1297a0209d7335a968d99f14de5514a5",
 }
+
+
+def pinned_f(key):
+    """expand_poly(integer_roots(n)) for an int key n; for "complex-n", n
+    roots at least 0.5 apart in the disk of radius 2 and a leading
+    coefficient of modulus 0.5..2, drawn from random.Random(key)."""
+    if isinstance(key, int):
+        return expand_poly(integer_roots(key))
+    rng, n = random.Random(key), int(key.split("-")[1])
+    roots = []
+    while len(roots) < n:
+        z = cmath.rect(2.0 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi))
+        if all(abs(z - r) >= 0.5 for r in roots):
+            roots.append(z)
+    lead = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi))
+    return expand_poly(roots).scaled(lead)
 
 
 def sha256(text):
@@ -70,8 +103,7 @@ def test_ode_cli_output_is_pinned(capsys, command, precision):
 
 @pytest.mark.parametrize("n", WHITTAKER_PINS)
 def test_whittaker_document_is_pinned(n):
-    ode = whittaker_equation(expand_poly(integer_roots(n)))
-    text = canonical_json(ode_report(ode), 17)
+    text = canonical_json(ode_report(whittaker_equation(pinned_f(n))), 17)
     assert sha256(text) == WHITTAKER_PINS[n], text
 
 
