@@ -26,8 +26,14 @@ class CurveSpec:
 
     degree: int
     sign: int
-    genus: int
-    parity: Parity
+
+    @property
+    def genus(self) -> int:
+        return (self.degree - 1) // 2
+
+    @property
+    def parity(self) -> Parity:
+        return Parity.ODD if self.degree % 2 else Parity.EVEN
 
     @property
     def singularities(self) -> tuple:
@@ -43,9 +49,7 @@ def curve_from_degree(n: int, sign: int = -1) -> CurveSpec:
         raise ValueError(f"degree {n} < 5")
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-    if n % 2:
-        return CurveSpec(n, sign, (n - 1) // 2, Parity.ODD)
-    return CurveSpec(n, sign, (n - 2) // 2, Parity.EVEN)
+    return CurveSpec(n, sign)
 
 
 def tessellation_for_curve(c: CurveSpec) -> Tessellation:

@@ -10,7 +10,9 @@ denominator roots equal to the point.  Every pole is known exactly, so a pole
 cancels by dividing the numerator by (z - s), and two poles are one point
 only when they are equal; the only root finding is of the Whittaker
 polynomial f; no coefficient is cut.  A catalog pole (finite or at infinity)
-goes only when its residue, exact in the parameters' decimal reprs, is 0.
+goes only when its residue, exact in the parameters' decimal reprs, is 0; p1's
+top coefficient is that exact sum rounded once, moved one float step off
+2 den_lead only when it rounds onto 2 den_lead without being equal to it.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from itertools import chain, zip_longest
 from .curves import CurveSpec, Poly, _product, expand_poly
 from .moebius import INFINITY
 
-# distinctness check on user polynomials: a genuine double root re-found
-# numerically splits by about sqrt(machine eps * coefficient scale), up to
-# ~1e-7, so the repeated-root detector must sit well above that
+# distinctness check on user polynomials, relative to the larger root of each
+# pair: a genuine double root re-found numerically splits by up to ~1e-7 of its
+# size, so the repeated-root detector must sit well above that
 DISTINCT_ROOT_TOL = 1e-6
 # decimals in which sums and products of float reprs never round; localcontext
 # copies it, so no flag carries over from one call to the next
@@ -92,14 +94,15 @@ def _build_rational(num: Poly, den_lead: complex, den_roots, cancel=()) -> Ratio
     return RationalFn(num, complex(den_lead), tuple(s for s, gone in poles if not gone))
 
 
-def _pin_top(num: Poly, size: int, target: complex, holds: bool) -> Poly:
-    """num as size coefficients whose top one, den_lead times p1's residue at
-    infinity, is exactly target iff that exact identity holds (a float that
-    rounded onto target moves one step up)."""
-    *low, top = num.coeffs + (0j,) * (size - len(num.coeffs))
-    if holds == (top == target):
-        return num
-    return Poly((*low, target if holds else complex(math.nextafter(top.real, math.inf), top.imag)))
+def _with_exact_top(low: tuple, top: tuple, target: float) -> Poly:
+    """low + top z^len(low), the exact (real, imaginary) decimals top rounded
+    once; one float step up if it is not target (2 den_lead) but rounds onto it."""
+    re, im = map(float, top)
+    if re == target and im == 0 and top != (target, 0):
+        re = math.nextafter(re, math.inf)
+    num = Poly((*low, complex(re, im)))
+    _refuse_overflow(num)
+    return num
 
 
 ZERO_RATIONAL = RationalFn(Poly.zero(), 1.0, ())
@@ -169,16 +172,15 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
         p1 = _build_rational(Poly((0.0, c)), -1.0, [1.0, -1.0])
         p2 = _build_rational(Poly((k,)), -1.0, [1.0, -1.0])
         _refuse_overflow(p2.num)  # nothing cancels: 2z, z and a constant are not 0 at +-1
-        named = {"lambda": lam}
     elif key == "Heun":
         al, be, ga, de, ep, a, q = params
         if a == 0 or a == 1:
             raise ValueError(f"Heun pole a = {a} coincides with 0 or 1")
-        num1 = (expand_poly([1.0, a]).scaled(ga)
-                + expand_poly([0.0, a]).scaled(de)
-                + expand_poly([0.0, 1.0]).scaled(ep))
+        # gamma (z-1)(z-a) + delta z(z-a) + epsilon z(z-1), lowest first
+        low1 = (ga * a, -(ga * (1.0 + a) + de * a + ep))
         num2 = Poly((-q, al * be))
-        _refuse_overflow(num1, num2)
+        # non-finite parameters are refused, as built in floats, before any decimal
+        _refuse_overflow(Poly((*low1, ga + de + ep)), num2)
         # p2's residues at 0, 1, a: q, alpha beta - q, alpha beta a - q
         with localcontext(_EXACT):
             (alr, ali), (ber, bei), (gr, gi), (dr, di), (er, ei), (ar, ai), (qr, qi) = (
@@ -186,57 +188,47 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
             abr, abi = alr * ber - ali * bei, alr * bei + ali * ber
             at_1, at_a = (abr == qr and abi == qi,
                           abr * ar - abi * ai == qr and abr * ai + abi * ar == qi)
-            at_inf = gr + dr + er == 2 and gi + di + ei == 0
-        p1 = _build_rational(_pin_top(num1, 3, 2.0, at_inf), 1.0, [0.0, 1.0, a],
-                             (ga == 0, de == 0, ep == 0))
+            num1 = _with_exact_top(low1, (gr + dr + er, gi + di + ei), 2.0)
+        p1 = _build_rational(num1, 1.0, [0.0, 1.0, a], (ga == 0, de == 0, ep == 0))
         p2 = _build_rational(num2, 1.0, [0.0, 1.0, a], (q == 0, at_1, at_a))
-        named = {"alpha": al, "beta": be, "gamma": ga, "delta": de,
-                 "epsilon": ep, "a": a, "q": q}
     elif key == "Hypergeometric":
         a, b, c = params
-        # z(1-z) = -1 * z(z-1)
-        num1, num2 = Poly((c, -(1.0 + a + b))), Poly((-a * b,))
-        _refuse_overflow(num1, num2)  # an overflow is reported with the float sum
-        try:  # 1 + a + b correctly rounded, part by part (1 is 1.0 + 0.0j)
-            num1 = Poly((c, -complex(math.fsum((1.0, a.real, b.real)),
-                                     math.fsum((0.0, a.imag, b.imag)))))
-        except OverflowError:  # fsum's partial sums overflowed: keep the float sum
-            pass
+        # z(1-z) = -1 * z(z-1); an overflow is reported with the float sum
+        num2 = Poly((-a * b,))
+        _refuse_overflow(Poly((c, -(1.0 + a + b))), num2)
         with localcontext(_EXACT):
-            # residues c - 1 - a - b at 1 and 1 + a + b at infinity, real parts first
-            ab = Decimal(repr(a.real)) + Decimal(repr(b.real))
-            at_1, at_inf = Decimal(repr(c.real)) == 1 + ab, ab == 1
-            if at_1 or at_inf:
-                ab = Decimal(repr(a.imag)) + Decimal(repr(b.imag))
-                at_1, at_inf = at_1 and Decimal(repr(c.imag)) == ab, at_inf and ab == 0
-        p1 = _build_rational(_pin_top(num1, 2, -2.0, at_inf), -1.0, [0.0, 1.0], (c == 0, at_1))
+            # 1 + a + b: c minus it is the residue at 1, and it is 2 at infinity
+            (ar, ai), (br, bi), (cr, ci) = (
+                (Decimal(repr(x.real)), Decimal(repr(x.imag))) for x in params)
+            s = (1 + ar + br, ai + bi)
+            num1 = _with_exact_top((c,), (-s[0], -s[1]), -2.0)
+        p1 = _build_rational(num1, -1.0, [0.0, 1.0], (c == 0, (cr, ci) == s))
         p2 = _build_rational(num2, -1.0, [0.0, 1.0])
-        named = {"a": a, "b": b, "c": c}
     else:  # WhittakerHypergeometric
         p1 = _build_rational(Poly((-20.0, 40.0)), 25.0, [0.0, 1.0])
         p2 = _build_rational(Poly((2.0,)), 25.0, [0.0, 1.0])
-        named = {}
 
-    return SecondOrderODE(p1, p2, params={"name": key, **named})
+    return SecondOrderODE(p1, p2, params={"name": key})
 
 
 def whittaker_equation(f: Poly) -> SecondOrderODE:
     """y'' + (3/16) [ (f'/f)^2 - ((2g+2)/(2g+1)) f''/f ] y = 0.
 
-    f is taken as given; g is inferred from deg f (ceil(deg/2) - 1), and f
-    must have distinct roots.
+    f is taken as given; g is the genus of y^2 = f, which depends only on
+    deg f, and f must have distinct roots.
     """
     _refuse_overflow(f)
     n = f.degree
     if n < 5:
         raise ValueError(f"deg f = {n} < 5")
     roots = f.roots()
-    for i, r in enumerate(roots):
-        tol = DISTINCT_ROOT_TOL * (1.0 + abs(r))
-        for other in roots[i + 1:]:
+    by_size = sorted(roots, key=abs, reverse=True)
+    for i, r in enumerate(by_size):
+        tol = DISTINCT_ROOT_TOL * abs(r)
+        for other in by_size[i + 1:]:
             if abs(r - other) <= tol:
                 raise ValueError(f"roots {r} and {other} coincide")
-    g = math.ceil(n / 2) - 1
+    g = CurveSpec(n, -1).genus
     ratio = Fraction(2 * g + 2, 2 * g + 1)
     df = [k * c for k, c in enumerate(f.coeffs) if k]
     # N = (3/16)(f'^2 - ratio f'' f) has degree 2n - 2 and top coefficient
@@ -278,7 +270,7 @@ def _infinity_pole_orders(ode: SecondOrderODE) -> tuple:
     p(1/w) ~ w^-e with e = deg num - #poles, so P2 has a pole of order e + 4
     and p1(1/w)/w^2 one of order e + 2, which dominates 2/w unless e = -1.
     There p1 ~ r/z with r = num lead / den_lead, P1 ~ (2 - r)/w, and the pole
-    goes iff 2 den_lead - num lead is exactly 0 (named_equation pins it).
+    goes iff 2 den_lead - num lead is exactly 0 (_with_exact_top keeps it so).
     """
     p1, p2 = ode.p1, ode.p2
     o2 = 0 if p2.is_zero else max(0, p2.num.degree - len(p2.den_roots) + 4)

@@ -115,8 +115,14 @@ class SurfaceTopology:
     V: int
     E: int
     F: int
-    chi: int
-    genus: int
+
+    @property
+    def chi(self) -> int:
+        return self.V - self.E + self.F
+
+    @property
+    def genus(self) -> int:
+        return (2 - self.chi) // 2
 
 
 def regular_polygon_area(t: Tessellation) -> float:
@@ -146,10 +152,7 @@ def tessellation_topology(t: Tessellation) -> SurfaceTopology:
         raise ValueError(f"p = {t.p} is odd; sides cannot pair up")
     if t.p % t.q != 0:
         raise ValueError(f"q = {t.q} does not divide p = {t.p}")
-    V = t.p // t.q
-    E = t.p // 2
-    F = 1
-    chi = V - E + F
-    if chi % 2 != 0:
-        raise ValueError(f"chi = {chi} is odd; no orientable genus")
-    return SurfaceTopology(V=V, E=E, F=F, chi=chi, genus=(2 - chi) // 2)
+    topology = SurfaceTopology(V=t.p // t.q, E=t.p // 2, F=1)
+    if topology.chi % 2 != 0:
+        raise ValueError(f"chi = {topology.chi} is odd; no orientable genus")
+    return topology

@@ -463,6 +463,38 @@ def test_ode_classify_hypergeometric_p1_survives_a_cancelling_float_sum(capsys):
                                       for z in ([0.0, 0.0], [1.0, 0.0], "infinity")]
 
 
+def test_ode_classify_heun_prints_the_exact_sum_at_infinity(capsys):
+    # gamma + delta + epsilon = 0.1 + 0.2 - 0.3 is exactly 0, while the float
+    # sum is 5.551115e-17: p1's numerator is 0.3 - 0.7 z, with no z^2 term
+    rc, out, err = invoke(capsys, "ode", "classify", "--named", "Heun",
+                          "--params", "1", "2", "0.1", "0.2", "-0.3", "3", "1")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["p1"]["numerator"] == [[0.3, 0.0], [-0.7, 0.0]]
+    assert doc["singular_points"] == [{"kind": "RegularSingular", "location": z}
+                                      for z in ([0.0, 0.0], [1.0, 0.0], [3.0, 0.0], "infinity")]
+    assert doc["fuchsian"] is True
+
+
+def test_ode_classify_hypergeometric_prints_the_exact_1_plus_a_plus_b(capsys):
+    # 1 + 1.38 - 2.561 is exactly -0.181; the binary values of the three
+    # floats sum to -0.18100000000000005.  c = 0 cancels the pole at 0
+    rc, out, err = invoke(capsys, "ode", "classify", "--named", "Hypergeometric",
+                          "--params", "1.38", "-2.561,-0.948", "0", "--precision", "17")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["p1"] == {"numerator": [[0.181, 0.948]], "denominator": [[1.0, 0.0], [-1.0, 0.0]]}
+
+
+def test_heun_top_coefficient_past_the_float_range_is_a_domain_error(capsys):
+    # the float sum gamma + delta + epsilon rounds to the largest float, but
+    # the exact sum 1.7976931348623157e308 + 1.5e292 rounds past it
+    rc, out, err = invoke(capsys, "ode", "classify", "--named", "Heun", "--params", "1", "2",
+                          "1.7976931348623157e308", "-1e292", "2.5e292", "-0.5", "1")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: coefficient overflow") and err.endswith("(inf+0j)]\n")
+
+
 def test_ode_classify_unknown_name(capsys):
     rc, _, err = invoke(capsys, "ode", "classify", "--named", "bessel")
     assert rc == 2 and "bessel" in err

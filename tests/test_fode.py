@@ -251,7 +251,11 @@ def test_whittaker_pole_structure():
     Poly((-1e15, 0, 0, 0, 0, 1)),  # z^5 - 1 under z -> 1000 z
     Poly((-3.2e11, 0, 0, 0, 0, 1)),  # N = (3/16)(z^8 + 24 * 3.2e11 z^3)
     Poly((1e13, 0, -1, 0, 0, 0, -1e13, 0, 1)),  # (z^2 - 1e13)(z^6 - 1): genus 3
-], ids=["clustered-at-0", "radius-0.01", "radius-1000", "z5-3.2e11", "far-pair-degree-8"])
+    # roots are distinct relative to their size, however small they are
+    Poly((-1e-32, 0, 0, 0, 0, 1)),  # radius 4.0e-7
+    Poly((-1e-40, 0, 0, 0, 0, 1)),  # radius 1e-8
+], ids=["clustered-at-0", "radius-0.01", "radius-1000", "z5-3.2e11", "far-pair-degree-8",
+        "radius-4e-7", "radius-1e-8"])
 def test_whittaker_keeps_a_double_pole_at_every_root(f):
     ode = whittaker_equation(f)
     n = f.degree
@@ -273,8 +277,10 @@ def test_whittaker_degrees_and_errors():
     assert whittaker_equation(expand_poly([0, 1, 2, 3, 4, 5, 6])).params["genus"] == 3
     with pytest.raises(ValueError, match="deg f = 2 < 5"):
         whittaker_equation(expand_poly([0.0, 1.0]))
-    with pytest.raises(ValueError, match="roots .* coincide"):
-        whittaker_equation(expand_poly([0, 1, 1, 2, 3]))
+    # a double root coincides wherever it lies, at 0 (found exactly) or near it
+    for roots in ([0, 1, 1, 2, 3], [0, 0, 1, 2, 3], [1e-3, 1e-3, 1, 2, 3]):
+        with pytest.raises(ValueError, match="roots .* coincide"):
+            whittaker_equation(expand_poly(roots))
 
 
 def test_whittaker_fuchsian_on_unit_circle_roots():

@@ -278,6 +278,14 @@ def test_heun_poles_follow_the_exact_residues(params, p1_shape, p2_shape):
         assert list(ode.p1.den_roots) == _exact_poles(poles, (g, d, e))
     three = (g[0] + d[0] + e[0], g[1] + d[1] + e[1])
     assert _infinity_pole_orders(ode)[0] == (0 if three == (2, 0) else 1)
+    # p1's top coefficient is that exact sum rounded once, moved one float
+    # step up where it rounds onto 2 without being 2 (the 1e-20 example);
+    # each cancelled pole lowers its index by one
+    top = complex(*map(float, three))
+    if top == 2 and three != (2, 0):
+        top = complex(math.nextafter(2.0, math.inf))
+    if not ode.p1.is_zero:
+        assert (*ode.p1.num.coeffs, 0j, 0j)[len(ode.p1.den_roots) - 1] == top
     if ab == q == (0, 0):
         assert ode.p2.is_zero
     else:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fuchsian.curves import CurveSpec, Parity, curve_from_degree
+from fuchsian.curves import CurveSpec, curve_from_degree
 from fuchsian.moebius import (
     TransformClass,
     apply,
@@ -64,7 +64,7 @@ def test_alpha_below_one_third_accepted():
 
 
 def test_genus_too_small():
-    c = CurveSpec(degree=3, sign=-1, genus=1, parity=Parity.ODD)
+    c = CurveSpec(degree=3, sign=-1)
     with pytest.raises(GenusTooSmall):
         mursi_parameters(c)
 
