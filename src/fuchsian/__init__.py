@@ -8,7 +8,7 @@ order differential equations with rational coefficients, and genus bounds
 for complete bipartite graph embeddings.
 """
 
-from .curves import CurveSpec, Parity, curve_from_degree, integer_roots, Poly, expand_poly
+from .curves import CurveSpec, curve_from_degree, integer_roots, Poly, expand_poly
 from .embed import GenusRange, genus_range
 from .fode import (
     PointKind,
@@ -59,7 +59,7 @@ from .uniformize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurveSpec", "Parity", "curve_from_degree", "integer_roots", "Poly",
+    "CurveSpec", "curve_from_degree", "integer_roots", "Poly",
     "expand_poly", "GenusRange", "genus_range", "PointKind", "SecondOrderODE",
     "curve_ode", "is_fuchsian", "named_equation", "singular_points",
     "whittaker_equation", "Model", "ModelPoint", "SurfaceTopology",

@@ -10,14 +10,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .hyperbolic import Tessellation
-
-
-class Parity(Enum):
-    ODD = "odd"
-    EVEN = "even"
 
 
 @dataclass(frozen=True)
@@ -32,8 +26,8 @@ class CurveSpec:
         return (self.degree - 1) // 2
 
     @property
-    def parity(self) -> Parity:
-        return Parity.ODD if self.degree % 2 else Parity.EVEN
+    def parity(self) -> str:
+        return "odd" if self.degree % 2 else "even"
 
     @property
     def singularities(self) -> tuple:
@@ -55,7 +49,7 @@ def curve_from_degree(n: int, sign: int = -1) -> CurveSpec:
 def tessellation_for_curve(c: CurveSpec) -> Tessellation:
     """{4g,4g} for odd degree, {4g+2, 2g+1} for even degree."""
     g = c.genus
-    if c.parity is Parity.ODD:
+    if c.degree % 2:
         return Tessellation(4 * g, 4 * g)
     return Tessellation(4 * g + 2, 2 * g + 1)
 
@@ -84,14 +78,6 @@ class Poly:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1.0,))
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls((0.0,))
-
     @property
     def degree(self) -> int:
         return -1 if self.coeffs == (0j,) else len(self.coeffs) - 1  # zero reports -1
@@ -106,25 +92,8 @@ class Poly:
             acc = acc * z + c
         return acc
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scaled(-1.0)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        return Poly(_product(self.coeffs, other.coeffs))
-
     def scaled(self, s: complex) -> "Poly":
         return Poly([s * c for c in self.coeffs])
-
-    def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs) if k])
 
     def roots(self) -> tuple:
         """np.roots's companion-matrix eigenvalues, then its 0j roots: bit for bit."""

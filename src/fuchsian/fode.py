@@ -105,7 +105,7 @@ def _with_exact_top(low: tuple, top: tuple, target: float) -> Poly:
     return num
 
 
-ZERO_RATIONAL = RationalFn(Poly.zero(), 1.0, ())
+ZERO_RATIONAL = RationalFn(Poly((0.0,)), 1.0, ())
 
 
 class PointKind(Enum):

@@ -150,7 +150,7 @@ def uniformization_report(curve: CurveSpec, result: UniformizationResult, *,
             "degree": curve.degree,
             "sign": curve.sign,
             "genus": curve.genus,
-            "parity": curve.parity.value,
+            "parity": curve.parity,
         },
         "parameters": {
             "alpha": params.alpha,

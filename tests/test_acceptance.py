@@ -260,7 +260,7 @@ def test_criterion_11(acceptance):
             problems.append(f"deg{n} coefficients {got}")
     # erratum: the published degree-6 polynomial differs from the expansion
     printed = Poly((4, -17, 4, 15, 0, -3, 1))
-    if (printed - expand_poly(integer_roots(6))).is_zero:
+    if printed == expand_poly(integer_roots(6)):
         problems.append("printed degree-6 polynomial unexpectedly correct")
     ok = not problems
     acceptance(11, ok, "integer-root expansions coefficient-exact for degrees "

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fuchsian.curves import (
-    Parity,
     Poly,
+    _product,
     curve_from_degree,
     expand_poly,
     integer_roots,
@@ -25,8 +25,7 @@ EXPANSIONS = {
 
 
 def test_curve_genus_and_parity():
-    expected = {5: (2, Parity.ODD), 6: (2, Parity.EVEN),
-                7: (3, Parity.ODD), 8: (3, Parity.EVEN)}
+    expected = {5: (2, "odd"), 6: (2, "even"), 7: (3, "odd"), 8: (3, "even")}
     for n, (g, par) in expected.items():
         c = curve_from_degree(n)
         assert (c.degree, c.genus, c.parity, c.sign) == (n, g, par, -1)
@@ -97,14 +96,9 @@ def test_poly_evaluation():
 
 def test_poly_arithmetic():
     p = Poly((1, 2))       # 1 + 2z
-    q = Poly((0, 0, 3))    # 3z^2
-    assert (p + q).coeffs == (1, 2, 3)
-    assert (p - p).degree == -1
-    prod = p * q
-    assert prod.coeffs == (0, 0, 3, 6)
     assert p.scaled(2).coeffs == (2, 4)
-    assert Poly.zero().is_zero
-    assert Poly.one().degree == 0
+    assert Poly((0.0,)).is_zero
+    assert Poly((1.0,)).degree == 0
 
 
 def test_poly_product_matches_numpy_convolve():
@@ -112,7 +106,7 @@ def test_poly_product_matches_numpy_convolve():
     for _ in range(300):
         a, b = (rng.uniform(-1, 1, (rng.randint(1, 21), 2)) @ (1, 1j)
                 for _ in range(2))
-        got = (Poly(tuple(a)) * Poly(tuple(b))).coeffs
+        got = _product(a, b)
         ref = np.convolve(a, b)
         assert len(got) == len(ref)
         assert np.max(np.abs(np.array(got) - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -121,12 +115,6 @@ def test_poly_product_matches_numpy_convolve():
 def test_poly_trailing_zeros_stripped():
     assert Poly((1, 2, 0, 0)).coeffs == (1, 2)
     assert Poly((0, 0)).coeffs == (0,)
-
-
-def test_poly_derivative():
-    p = Poly((1, 2, 3))  # 1 + 2z + 3z^2
-    assert p.derivative().coeffs == (2, 6)
-    assert Poly((5,)).derivative().is_zero
 
 
 def test_poly_roots():

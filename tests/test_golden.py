@@ -101,5 +101,4 @@ def test_degree6_polynomial_erratum():
         assert corrected(r) == 0
     misses = [r for r in integer_roots(6) if printed(r) != 0]
     assert misses  # the printed form fails on most integer roots
-    diff = printed - corrected
-    assert not diff.is_zero
+    assert printed != corrected

@@ -7,6 +7,8 @@ import pathlib
 import pytest
 
 import fuchsian
+from fuchsian.curves import Poly
+from fuchsian.fode import RationalFn
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -73,6 +75,8 @@ DELETED = [
     ("fode", "HEUN_POLE_GAP"),
     # p1's top coefficient is the exact sum the verdict reads, rounded once
     ("fode", "_pin_top"),
+    # the report prints the parity string CurveSpec.parity returns
+    ("curves", "Parity"),
 ]
 
 
@@ -85,12 +89,25 @@ def test_deleted_api_is_gone(module, name):
     assert not hasattr(importlib.import_module(f"fuchsian.{module}"), name)
 
 
-def test_poly_variable_is_gone():
-    assert not hasattr(fuchsian.Poly, "variable")
+# members deleted from a class that stays; tests count poles with
+# helpers.reference_pole_order, and _product is the one polynomial product
+DELETED_MEMBERS = [
+    (Poly, "variable"),
+    (Poly, "trimmed"),
+    (RationalFn, "pole_order"),
+    (Poly, "__add__"),
+    (Poly, "__sub__"),
+    (Poly, "__mul__"),
+    (Poly, "derivative"),
+    (Poly, "one"),
+    (Poly, "zero"),
+]
 
 
-def test_poly_trimmed_is_gone():
-    assert not hasattr(fuchsian.Poly, "trimmed")
+@pytest.mark.parametrize("cls, name", DELETED_MEMBERS,
+                         ids=[f"{c.__name__}.{n}" for c, n in DELETED_MEMBERS])
+def test_deleted_method_is_gone(cls, name):
+    assert not hasattr(cls, name)
 
 
 def test_records_store_no_derived_fields():
@@ -98,11 +115,6 @@ def test_records_store_no_derived_fields():
     fields = [[f.name for f in dataclasses.fields(cls)]
               for cls in (fuchsian.CurveSpec, fuchsian.SurfaceTopology)]
     assert fields == [["degree", "sign"], ["V", "E", "F"]]
-
-
-def test_rational_fn_pole_order_is_gone():
-    # tests count poles with helpers.reference_pole_order
-    assert not hasattr(importlib.import_module("fuchsian.fode").RationalFn, "pole_order")
 
 
 def _unused_imports(tree):
