@@ -6,24 +6,26 @@ regular-singular-point classification on the extended plane.
 
 A rational function keeps its numerator expanded and its denominator factored
 (leading coefficient plus root list), so a pole order is the number of
-denominator roots equal to the point.  Every pole is known exactly, so a pole
-cancels by dividing the numerator by (z - s), and two poles are one point
-only when they are equal; the only root finding is of the Whittaker
-polynomial f; no coefficient is cut.  A catalog pole (finite or at infinity)
-goes only when its residue, exact in the parameters' decimal reprs, is 0; p1's
-top coefficient is that exact sum rounded once, moved one float step off
-2 den_lead only when it rounds onto 2 den_lead without being equal to it.
+denominator roots equal to the point.  Every pole is known exactly, and two
+poles are one point only when they are equal; the only root finding is of the
+Whittaker polynomial f; no coefficient is cut.  A catalog pole (finite or at
+infinity) goes only when its residue, exact in the parameters' decimal reprs,
+is 0, and each coefficient is written over the poles that stay, so nothing is
+divided out afterwards.  p1's top coefficient is that exact sum rounded once,
+moved one float step off 2 den_lead only when it rounds onto 2 den_lead
+without being equal to it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import chain
 
 from .curves import CurveSpec, Poly, _product, expand_poly
 from .moebius import INFINITY
@@ -39,11 +41,13 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 @dataclass(frozen=True)
 class RationalFn:
-    """num/den with common roots cancelled at construction.
+    """num/den; this module writes num over the poles that stay, so the two
+    share no root.
 
     num is the expanded numerator; den_lead * prod(z - r) over den_roots is
     the denominator, stored factored so that a double pole is two equal
-    roots.  den expands it, every coefficient as built, for display.
+    roots.  den expands it, every coefficient as built, for display; an
+    expansion with a non-finite real or imaginary part is refused there.
     """
 
     num: Poly
@@ -52,7 +56,10 @@ class RationalFn:
 
     @property
     def den(self) -> Poly:
-        return expand_poly(self.den_roots).scaled(self.den_lead)
+        den = expand_poly(self.den_roots).scaled(self.den_lead)
+        if not all(map(cmath.isfinite, den.coeffs)):
+            raise ValueError(f"coefficient overflow: {list(den.coeffs)}")
+        return den
 
     @property
     def is_zero(self) -> bool:
@@ -78,20 +85,12 @@ def _refuse_overflow(*polys: Poly) -> None:
             raise ValueError(f"coefficient overflow: {list(p.coeffs)}")
 
 
-def _build_rational(num: Poly, den_lead: complex, den_roots, cancel=()) -> RationalFn:
-    """num / (den_lead * prod(z - s)), with num divided by (z - s) (Horner's
-    partial sums are the quotient) at each pole s whose flag in cancel the
-    caller set on showing num(s) = 0 exactly; every other pole stays."""
+def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
+    """num / (den_lead * prod(z - s)) over the poles s in den_roots, which the
+    caller wrote num over; a zero num is ZERO_RATIONAL."""
     if num.is_zero:
         return ZERO_RATIONAL
-    poles = tuple(zip_longest(map(complex, den_roots), cancel))
-    for s in (s for s, gone in poles if gone):
-        acc, partial = 0j, []
-        for c in reversed(num.coeffs):
-            acc = acc * s + c
-            partial.append(acc)
-        num = Poly(partial[-2::-1])
-    return RationalFn(num, complex(den_lead), tuple(s for s, gone in poles if not gone))
+    return RationalFn(num, complex(den_lead), tuple(map(complex, den_roots)))
 
 
 def _with_exact_top(low: tuple, top: tuple, target: float) -> Poly:
@@ -176,21 +175,32 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
         al, be, ga, de, ep, a, q = params
         if a == 0 or a == 1:
             raise ValueError(f"Heun pole a = {a} coincides with 0 or 1")
-        # gamma (z-1)(z-a) + delta z(z-a) + epsilon z(z-1), lowest first
-        low1 = (ga * a, -(ga * (1.0 + a) + de * a + ep))
-        num2 = Poly((-q, al * be))
+        poles, ab = (0.0, 1.0, a), al * be
+        # p1 = gamma/z + delta/(z-1) + epsilon/(z-a) over the poles whose residue
+        # is not 0: its numerator below the exact top, lowest first
+        kept1 = [(s, r) for s, r in zip(poles, (ga, de, ep)) if r != 0]
+        if len(kept1) == 2:  # r0 (z - s1) + r1 (z - s0)
+            (s0, r0), (s1, r1) = kept1
+            low1 = (-(r0 * s1 + r1 * s0),)
+        else:  # gamma (z-1)(z-a) + delta z(z-a) + epsilon z(z-1), or a lone top
+            low1 = (ga * a, -(ga * (1.0 + a) + de * a + ep)) if len(kept1) == 3 else ()
         # non-finite parameters are refused, as built in floats, before any decimal
-        _refuse_overflow(Poly((*low1, ga + de + ep)), num2)
-        # p2's residues at 0, 1, a: q, alpha beta - q, alpha beta a - q
+        _refuse_overflow(Poly((*low1, ga + de + ep)), Poly((ab,)))
+        if not cmath.isfinite(a):  # p1 may keep no term in a; p2's residue at a reads it
+            raise ValueError(f"Heun pole a = {a} is not finite")
         with localcontext(_EXACT):
             (alr, ali), (ber, bei), (gr, gi), (dr, di), (er, ei), (ar, ai), (qr, qi) = (
                 (Decimal(repr(x.real)), Decimal(repr(x.imag))) for x in params)
             abr, abi = alr * ber - ali * bei, alr * bei + ali * ber
-            at_1, at_a = (abr == qr and abi == qi,
-                          abr * ar - abi * ai == qr and abr * ai + abi * ar == qi)
+            # p2's residues at 0, 1, a: q, alpha beta - q, alpha beta a - q
+            gone2 = (q == 0, abr == qr and abi == qi,
+                     abr * ar - abi * ai == qr and abr * ai + abi * ar == qi)
             num1 = _with_exact_top(low1, (gr + dr + er, gi + di + ei), 2.0)
-        p1 = _build_rational(num1, 1.0, [0.0, 1.0, a], (ga == 0, de == 0, ep == 0))
-        p2 = _build_rational(num2, 1.0, [0.0, 1.0, a], (q == 0, at_1, at_a))
+        # one pole of p2 goes at most, unless p2 = 0, and leaves alpha beta
+        num2 = Poly((ab,) if any(gone2) else (-q, ab))
+        _refuse_overflow(num2)
+        p1 = _build_rational(num1, 1.0, [s for s, _ in kept1])
+        p2 = _build_rational(num2, 1.0, [s for s, gone in zip(poles, gone2) if not gone])
     elif key == "Hypergeometric":
         a, b, c = params
         # z(1-z) = -1 * z(z-1); an overflow is reported with the float sum
@@ -201,8 +211,10 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
             (ar, ai), (br, bi), (cr, ci) = (
                 (Decimal(repr(x.real)), Decimal(repr(x.imag))) for x in params)
             s = (1 + ar + br, ai + bi)
-            num1 = _with_exact_top((c,), (-s[0], -s[1]), -2.0)
-        p1 = _build_rational(num1, -1.0, [0.0, 1.0], (c == 0, (cr, ci) == s))
+            # a pole that goes leaves c - (1 + a + b) z its top alone
+            keep1 = (c != 0, (cr, ci) != s)
+            num1 = _with_exact_top((c,) if all(keep1) else (), (-s[0], -s[1]), -2.0)
+        p1 = _build_rational(num1, -1.0, [p for p, kept in zip((0.0, 1.0), keep1) if kept])
         p2 = _build_rational(num2, -1.0, [0.0, 1.0])
     else:  # WhittakerHypergeometric
         p1 = _build_rational(Poly((-20.0, 40.0)), 25.0, [0.0, 1.0])
@@ -215,12 +227,17 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
     """y'' + (3/16) [ (f'/f)^2 - ((2g+2)/(2g+1)) f''/f ] y = 0.
 
     f is taken as given; g is the genus of y^2 = f, which depends only on
-    deg f, and f must have distinct roots.
+    deg f, and f must have distinct roots.  Its accessory parameters are
+    Whittaker's: it uniformizes y^2 = z^n - 1, and for other f, such as the
+    integer-root stand-ins, it is Fuchsian with the right local exponents
+    but not the uniformizing equation.
     """
     _refuse_overflow(f)
-    n = f.degree
+    n, lead = f.degree, f.coeffs[-1]
     if n < 5:
         raise ValueError(f"deg f = {n} < 5")
+    if lead * lead == 0:
+        raise ValueError(f"leading coefficient {lead} squares to 0")
     roots = f.roots()
     by_size = sorted(roots, key=abs, reverse=True)
     for i, r in enumerate(by_size):
@@ -239,7 +256,6 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
     num = Poly([3.0 / 16.0 * (x + -1.0 * (q * y)) for x, y in zip(sq[:size], cross)])
     _refuse_overflow(num)
     # N(r) = (3/16) f'(r)^2 != 0 at each simple root r of f: nothing cancels
-    lead = f.coeffs[-1]
     p2 = RationalFn(num, lead * lead, tuple(chain.from_iterable(zip(roots, roots))))
     return SecondOrderODE(ZERO_RATIONAL, p2,
                           params={"genus": g, "coefficient_ratio": ratio})

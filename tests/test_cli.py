@@ -216,6 +216,35 @@ def test_cancelled_heun_pole_leaves_an_exact_numerator(capsys):
     assert doc["p1"]["numerator"] == [[-3.0, 0.0], [7.0, 0.0]]
 
 
+@pytest.mark.parametrize("params, numerator", [
+    # p1 = 1/z + 1/(z-1) = (2z - 1)/(z(z-1)); gamma (1 + a) rounds at a = 1e16,
+    # so a numerator built over a and divided by (z - a) read 2z
+    (["1", "1", "1", "1", "0", "1e16", "1e16"], [[-1.0, 0.0], [2.0, 0.0]]),
+    (["1", "1", "0.1", "0.7", "0", "1e16", "1e16"], [[-0.1, 0.0], [0.8, 0.0]]),
+])
+def test_heun_numerator_is_written_over_the_poles_it_keeps(capsys, params, numerator):
+    rc, out, err = invoke(capsys, "ode", "classify", "--named", "Heun", "--params",
+                          *params, "--precision", "17")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["p1"] == {"numerator": numerator,
+                         "denominator": [[0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]}
+
+
+def test_heun_pole_a_past_the_float_range_is_kept_when_p1_has_no_term_in_it(capsys):
+    # epsilon = 0 leaves p1 = 3/z + 4/(z-1) with no product with a, and p2
+    # keeps a as a simple pole: nothing is refused for a pole p1 does not keep
+    rc, out, err = invoke(capsys, "ode", "classify", "--named", "Heun", "--params",
+                          "1", "2", "3", "4", "0", "1.5e308,1.5e308", "1", "--precision", "17")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["p1"]["numerator"] == [[-3.0, 0.0], [7.0, 0.0]]
+    assert doc["singular_points"] == [
+        {"kind": "RegularSingular", "location": loc}
+        for loc in ([0.0, 0.0], [1.0, 0.0], [1.5e308, 1.5e308], "infinity")]
+    assert doc["fuchsian"] is True
+
+
 @pytest.mark.parametrize("argv, message", [
     (["ode", "build", "--degree", "4"], "degree 4 < 5"),
     (["ode", "build", "--degree", "9"], "degree 9 not in 5..8"),

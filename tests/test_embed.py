@@ -1,4 +1,7 @@
+import collections
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -40,31 +43,40 @@ def _cyclic_orders(neighbours):
         yield {u: cycle[(i + 1) % len(cycle)] for i, u in enumerate(cycle)}
 
 
+def _adjacency(m, n):
+    adjacent = {v: list(range(m, m + n)) for v in range(m)}
+    adjacent.update({v: list(range(m)) for v in range(m, m + n)})
+    return adjacent
+
+
+def _face_count(adjacent, rotation):
+    """Faces of the rotation system, traced dart by dart: (u, v) is followed
+    by (v, w), where w comes after u in the rotation at v."""
+    seen, faces = set(), 0
+    for dart in ((u, v) for u in adjacent for v in adjacent[u]):
+        if dart in seen:
+            continue
+        faces += 1
+        while dart not in seen:
+            seen.add(dart)
+            u, v = dart
+            dart = (v, rotation[v][u])
+    return faces
+
+
+@functools.cache
 def _embedding_genera(m, n):
-    """Genus of every rotation system of K_{m,n}, from its traced faces.
+    """How many rotation systems of K_{m,n} have each genus, from their traced faces.
 
     Vertex 0 keeps one rotation: every permutation of the other part is an
     automorphism of K_{m,n}, so that loses no genus.
     """
-    adjacent = {v: list(range(m, m + n)) for v in range(m)}
-    adjacent.update({v: list(range(m)) for v in range(m, m + n)})
+    adjacent = _adjacency(m, n)
     choices = [list(_cyclic_orders(adjacent[v])) for v in range(m + n)]
     choices[0] = choices[0][:1]
-    darts = [(u, v) for u in adjacent for v in adjacent[u]]
-    genera = set()
-    for rotation in itertools.product(*choices):
-        seen, faces = set(), 0
-        for dart in darts:
-            if dart in seen:
-                continue
-            faces += 1
-            while dart not in seen:
-                seen.add(dart)
-                u, v = dart
-                dart = (v, rotation[v][u])
-        # Euler: V - E + F = 2 - 2g
-        genera.add((2 - (m + n) + m * n - faces) // 2)
-    return genera
+    # Euler: V - E + F = 2 - 2g
+    return collections.Counter((2 - (m + n) + m * n - _face_count(adjacent, rotation)) // 2
+                               for rotation in itertools.product(*choices))
 
 
 # K_{2,8} is the channel C_{2,8} of the source paper
@@ -76,4 +88,49 @@ def test_genus_range_matches_traced_rotation_systems(m, n, expected):
     assert (min(genera), max(genera)) == expected
     assert genus_range(m, n) == GenusRange(*expected)
     # interpolation: every genus in between is reached too
-    assert genera == set(range(expected[0], expected[1] + 1))
+    assert set(genera) == set(range(expected[0], expected[1] + 1))
+
+
+# rotation systems of K_{2,8} by genus; vertex 0's rotation is fixed, so
+# they are the 7! = 5040 cyclic orders at vertex 1
+K28_GENERA = {0: 1, 1: 126, 2: 1869, 3: 3044}
+
+
+def test_k28_genus_distribution_is_pinned():
+    assert _embedding_genera(2, 8) == K28_GENERA
+    assert sum(K28_GENERA.values()) == math.factorial(7)
+
+
+def test_k28_genus_distribution_matches_the_cycle_count():
+    # independently: with the rotation at one degree-8 vertex fixed to the
+    # 8-cycle zeta, the faces are the cycles of zeta sigma^-1 over all
+    # 8-cycles sigma, and g = (8 - F)/2 (V = 10, E = 16)
+    zeta = [(i + 1) % 8 for i in range(8)]
+    counts = collections.Counter()
+    for rest in itertools.permutations(range(1, 8)):
+        cycle = (0, *rest)
+        sigma_inverse = {cycle[(i + 1) % 8]: cycle[i] for i in range(8)}
+        seen, faces = set(), 0
+        for start in range(8):
+            faces += start not in seen
+            while start not in seen:
+                seen.add(start)
+                start = zeta[sigma_inverse[start]]
+        counts[(8 - faces) // 2] += 1
+    assert counts == K28_GENERA
+
+
+@pytest.mark.parametrize("genus, order", [
+    (2, (2, 3, 4, 5, 6, 9, 8, 7)),  # the last three reversed
+    (3, (2, 3, 4, 5, 6, 7, 8, 9)),  # the same turn as vertex 0
+])
+def test_k28_witness_rotation_has_8_minus_2g_faces(genus, order):
+    # the paper's genera 2 and 3 for C_{2,8}, each with one explicit embedding:
+    # vertex 0 turns through 2..9 in order, vertex 1 through the given order
+    # (all 8 reversed is the planar one)
+    adjacent = _adjacency(2, 8)
+    rotation = [{u: cycle[(i + 1) % len(cycle)] for i, u in enumerate(cycle)}
+                for cycle in ((2, 3, 4, 5, 6, 7, 8, 9), order, *([0, 1],) * 8)]
+    faces = _face_count(adjacent, rotation)
+    assert faces == 8 - 2 * genus
+    assert 10 - 16 + faces == 2 - 2 * genus  # Euler: V - E + F

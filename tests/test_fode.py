@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from fuchsian import curves, fode, report
-from fuchsian.curves import Poly, _product, curve_from_degree, expand_poly
+from fuchsian.curves import Poly, curve_from_degree, expand_poly
 from fuchsian.fode import (
     ZERO_RATIONAL,
     PointClass,
@@ -38,11 +39,13 @@ def assert_ordinary(ode, z):
     assert reference_pole_order(ode.p1, z) == reference_pole_order(ode.p2, z) == 0
 
 
-def test_rational_fn_cancellation():
-    f = _build_rational(expand_poly([1.0, -1.0]), 1.0, [1.0], (True,))  # (z^2-1)/(z-1)
-    assert reference_pole_order(f, 1.0) == 0
-    assert f.den_roots == ()
-    assert f.num.coeffs == (1, 1)  # Horner's quotient: exactly z + 1
+def test_build_rational_keeps_every_pole_it_is_given():
+    # the caller writes num over the poles that stay; nothing is divided out,
+    # even where num vanishes at a pole
+    f = _build_rational(expand_poly([1.0, -1.0]), 2, [1.0])  # (z^2-1)/(2(z-1))
+    assert (f.num.coeffs, f.den_lead, f.den_roots) == ((-1, 0, 1), 2 + 0j, (1 + 0j,))
+    assert reference_pole_order(f, 1.0) == 1
+    assert [*inspect.signature(_build_rational).parameters] == ["num", "den_lead", "den_roots"]
 
 
 def test_rational_fn_pole_orders():
@@ -272,6 +275,40 @@ def test_whittaker_keeps_a_double_pole_at_every_root(f):
     assert is_fuchsian(ode)
 
 
+@pytest.mark.parametrize("lead", [1e-150, 1e-155, 1e-160])
+def test_whittaker_denominator_prints_finite_or_is_refused(lead):
+    # the roots of lead z^5 - 1 have modulus |lead|^(-1/5); doubled and
+    # expanded they overflow below about lead 1e-155, though the verdicts hold
+    ode = whittaker_equation(Poly((-1, 0, 0, 0, 0, lead)))
+    assert len(singular_points(ode)) == 6 and is_fuchsian(ode)
+    if lead == 1e-150:
+        text = report.canonical_json(report.ode_report(ode))
+        assert "NaN" not in text and "Infinity" not in text
+    else:
+        with pytest.raises(ValueError, match=r"^coefficient overflow: \["):
+            report.ode_report(ode)
+
+
+def test_whittaker_refuses_a_lead_whose_square_underflows():
+    # lead^2 = 0j would leave p2 with a zero denominator
+    with pytest.raises(ValueError, match=r"leading coefficient \(1e-162\+0j\) squares to 0"):
+        whittaker_equation(Poly((-1, 0, 0, 0, 0, 1e-162)))
+    assert whittaker_equation(Poly((-1, 0, 0, 0, 0, 1e-150))).p2.den_lead == 1e-300
+
+
+@pytest.mark.parametrize("roots, finite", [
+    ((1.5e308 + 1.5e308j,), True),  # finite parts, modulus past the float range
+    ((1e200, -1e200, 1e200j), False),  # the z coefficient is -1e400
+])
+def test_denominator_is_refused_only_for_a_non_finite_part(roots, finite):
+    rf = RationalFn(Poly((1.0,)), 1.0, roots)
+    if finite:
+        assert rf.den.coeffs == (-roots[0], 1)
+    else:
+        with pytest.raises(ValueError, match="coefficient overflow"):
+            rf.den
+
+
 def test_whittaker_degrees_and_errors():
     assert whittaker_equation(expand_poly([0, 1, 2, 3, 4, 5])).params["genus"] == 2
     assert whittaker_equation(expand_poly([0, 1, 2, 3, 4, 5, 6])).params["genus"] == 3
@@ -308,23 +345,40 @@ def root_calls(monkeypatch):
     return calls
 
 
-def test_classification_survives_common_factors(root_calls):
-    # multiplying num and den by the same factors divides them out again
-    base = named_equation("Legendre", [2.0])
-    extra = [5.0, -2.0 + 1.0j]
-    factor = expand_poly(extra).coeffs
-    inflated = SecondOrderODE(*(
-        _build_rational(Poly(_product(rf.num.coeffs, factor)), rf.den_lead,
-                        rf.den_roots + tuple(extra),
-                        (False,) * len(rf.den_roots) + (True,) * len(extra))
-        for rf in (base.p1, base.p2)))
-    # the poles are known exactly, so Horner's scheme cancels them without roots
+A = 2 + 1j
+
+
+@pytest.mark.parametrize("name, params, p1, p2", [
+    # p1 = gamma/z + delta/(z-1) + epsilon/(z-a): a zero residue drops its term
+    ("Heun", [1, 2, 3, 4, 5, A, 0.5], ((3 * A, -(3 * (1 + A) + 4 * A + 5), 12), (0, 1, A)),
+     ((-0.5, 2), (0, 1, A))),
+    ("Heun", [1, 2, 0, 4, 5, A, 0.5], ((-(4 * A + 5), 9), (1, A)), ((-0.5, 2), (0, 1, A))),
+    ("Heun", [1, 2, 3, 0, 5, A, 0.5], ((-3 * A, 8), (0, A)), ((-0.5, 2), (0, 1, A))),
+    ("Heun", [1, 2, 3, 4, 0, A, 0.5], ((-3, 7), (0, 1)), ((-0.5, 2), (0, 1, A))),
+    ("Heun", [1, 2, 0, 0, 5, A, 0.5], ((5,), (A,)), ((-0.5, 2), (0, 1, A))),
+    ("Heun", [1, 2, 0, 0, 0, A, 0.5], None, ((-0.5, 2), (0, 1, A))),
+    # p2 = (alpha beta z - q)/(z(z-1)(z-a)) is alpha beta over the two poles left
+    ("Heun", [1, 2, 3, 4, 5, A, 0], ((3 * A, -(3 * (1 + A) + 4 * A + 5), 12), (0, 1, A)),
+     ((2,), (1, A))),
+    ("Heun", [1, 2, 3, 4, 0, A, 2], ((-3, 7), (0, 1)), ((2,), (0, A))),
+    ("Heun", [1, 2, 3, 4, 0, A, 2 * A], ((-3, 7), (0, 1)), ((2,), (0, 1))),
+    ("Heun", [0, 2, 3, 4, 0, A, 0], ((-3, 7), (0, 1)), None),
+    # p1 = [c - (1 + a + b) z]/(z(1 - z)) keeps -(1 + a + b) when a pole goes
+    ("Hypergeometric", [0.5, 0.25, 1.5], ((1.5, -1.75), (0, 1)), ((-0.125,), (0, 1))),
+    ("Hypergeometric", [0.5, 0.25, 0], ((-1.75,), (1,)), ((-0.125,), (0, 1))),
+    ("Hypergeometric", [0.5, 0.25, 1.75], ((-1.75,), (0,)), ((-0.125,), (0, 1))),
+    ("Hypergeometric", [0.5, -1.5, 0], None, ((0.75,), (0, 1))),
+])
+def test_each_coefficient_is_written_over_the_poles_it_keeps(root_calls, name, params, p1, p2):
+    # the residues are decided exactly first, so a pole that goes is never
+    # built, and no root finding is needed
+    ode = named_equation(name, params)
+    for rf, want in ((ode.p1, p1), (ode.p2, p2)):
+        if want is None:
+            assert rf is ZERO_RATIONAL
+        else:
+            assert (rf.num.coeffs, rf.den_roots) == tuple(tuple(map(complex, w)) for w in want)
     assert root_calls == []
-    for rf, want in ((inflated.p1, base.p1), (inflated.p2, base.p2)):
-        assert rf.den_roots == want.den_roots == (1 + 0j, -1 + 0j)
-    assert singular_points(inflated) == singular_points(base)
-    for z in (0.3, 5.0, -2.0 + 1.0j):
-        assert_ordinary(inflated, z)
 
 
 def test_whittaker_finds_roots_once(root_calls):
@@ -340,7 +394,7 @@ def test_named_and_curve_equations_find_no_roots(root_calls):
         params = [0.5 + 0.25j * k for k in range(count)]
         ode = named_equation(name, params)
         assert is_fuchsian(ode) and len(singular_points(ode)) == 3 + (name == "Heun")
-    # a numerator that vanishes exactly at a pole cancels it by division, not by roots;
+    # a pole whose residue is exactly 0 is never built, and needs no roots;
     # ab = 0 and alpha = q = 0 make p2 = 0, so only p1's poles are singular
     for name, params, want in (
             ("Hypergeometric", [0.5 + 0.25j, 0, 0], [1]),  # c = 0
@@ -389,6 +443,13 @@ def test_non_finite_params_are_refused_before_any_residue_is_decided(name, param
     # the exact residues would read inf - inf or inf * 0; the numerators are refused first
     with pytest.raises(ValueError, match="coefficient overflow"):
         named_equation(name, params)
+
+
+@pytest.mark.parametrize("a", [math.inf, math.nan, complex(1, math.inf)])
+def test_non_finite_heun_pole_is_refused_when_p1_has_no_term_in_it(a):
+    # epsilon = 0 keeps a out of p1's numerator, but p2's residue at a reads it
+    with pytest.raises(ValueError, match=r"^Heun pole a = .* is not finite$"):
+        named_equation("Heun", [1, 2, 3, 4, 0, a, 1])
 
 
 def test_curve_ode_all_degrees():

@@ -295,6 +295,28 @@ def test_heun_poles_follow_the_exact_residues(params, p1_shape, p2_shape):
             poles, (q, _sub(ab, q), _sub(_mul(ab, a), q)))
 
 
+RESIDUES = st.complex_numbers(min_magnitude=0.1, max_magnitude=10, allow_nan=False,
+                              allow_infinity=False)
+# a third Heun pole of modulus 10^0.5 to 1e300, and sample points within
+# |z| <= 2 and at least 0.5 from 0 and 1, so at least 1.1 from a
+FAR_POLES = st.builds(lambda e, t: cmath.rect(10.0 ** e, t), st.floats(0.5, 300.0), ANGLES)
+SAMPLE_POINTS = (0.5 + 0.5j, -0.7 + 0.2j, 1.3 - 0.6j, 2j)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(RESIDUES, min_size=3, max_size=3),
+       st.lists(st.booleans(), min_size=3, max_size=3), FAR_POLES)
+@example([1, 1, 1], [True, True, False], 1e16)  # 2z - 1 over z(z-1), not 2z
+@example([0.1, 0.7, 1], [True, True, False], 1e16)
+@example([3, 4, 5], [True, True, False], 1.5e308 + 1.5e308j)  # |a| past the float range
+def test_heun_p1_is_the_sum_of_its_kept_residue_terms(residues, kept, a):
+    residues = [r if k else 0 for r, k in zip(residues, kept)]
+    p1 = named_equation("Heun", [1, 1, *residues, a, 0.5]).p1
+    for z in SAMPLE_POINTS:
+        terms = [r / (z - s) for r, s in zip(residues, (0, 1, a))]
+        assert abs(p1(z) - sum(terms)) <= 1e-12 * sum(map(abs, terms))
+
+
 # poles drawn from a small pool (exact duplicates, and -0.0 next to 0.0),
 # moved by up to 4e-9 (near but distinct poles, which stay apart), or
 # anywhere in |z| <= 4
