@@ -65,7 +65,7 @@ def integer_roots(n: int) -> list:
     return list(range(lo, lo + n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Poly:
     """Dense polynomial, coefficients lowest degree first."""
 

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
+from operator import attrgetter
 
 from .curves import CurveSpec, Poly, _product, expand_poly
 from .moebius import INFINITY
@@ -39,7 +40,7 @@ DISTINCT_ROOT_TOL = 1e-6
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalFn:
     """num/den; this module writes num over the poles that stay, so the two
     share no root.
@@ -116,7 +117,7 @@ class PointKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointClass:
     location: object  # complex or INFINITY
     kind: PointKind
@@ -132,13 +133,19 @@ class SecondOrderODE:
 
     @cached_property
     def _classified_points(self) -> tuple:
-        """Finite poles of p1 and p2 (equal ones merged, sorted) plus infinity,
-        classified on first use and kept: the equation is immutable."""
-        r1, r2 = (() if rf.is_zero else rf.den_roots for rf in (self.p1, self.p2))
-        if len(finite := [*dict.fromkeys(r1 + r2)]) > 1:  # no sort keys for one point
-            finite.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-        return (*(PointClass(z, _kind(r1.count(z), r2.count(z))) for z in finite),
-                PointClass(INFINITY, _kind(*_infinity_pole_orders(self))))
+        """Finite poles of p1 and p2, equal ones merged and sorted by (re, im) to 9
+        decimals (p1's first on a tie), plus infinity; classified once and kept."""
+        p1, p2, d1, d2 = self.p1, self.p2, self.p1.num.degree, self.p2.num.degree
+        r1, r2 = (p1.den_roots if d1 >= 0 else ()), (p2.den_roots if d2 >= 0 else ())
+        finite = sorted(dict.fromkeys(r1 + r2), key=attrgetter("real", "imag"))
+        # rounding is monotone and ties no values 2e-9 apart: then both sorts agree
+        if not all(b.real - a.real >= 2e-9 or (b.real == a.real and b.imag - a.imag >= 2e-9)
+                   for a, b in zip(finite, finite[1:])):
+            finite = sorted(dict.fromkeys(r1 + r2),
+                            key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+        kinds = map(_kind, map(r1.count, finite), map(r2.count, finite))
+        return (*map(PointClass, finite, kinds),
+                PointClass(INFINITY, _kind(*_infinity_pole_orders(p1, p2, d1, d2))))
 
 
 # lower-case name -> (catalog name, parameter count)
@@ -192,6 +199,8 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
             (alr, ali), (ber, bei), (gr, gi), (dr, di), (er, ei), (ar, ai), (qr, qi) = (
                 (Decimal(repr(x.real)), Decimal(repr(x.imag))) for x in params)
             abr, abi = alr * ber - ali * bei, alr * bei + ali * ber
+            if ab == 0 and (abr or abi):  # so p2 = 0 exactly when alpha beta = q = 0
+                raise ValueError(f"coefficient underflow: alpha beta = {al} * {be} is not 0")
             # p2's residues at 0, 1, a: q, alpha beta - q, alpha beta a - q
             gone2 = (q == 0, abr == qr and abi == qi,
                      abr * ar - abi * ai == qr and abr * ai + abi * ar == qi)
@@ -211,6 +220,8 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
             (ar, ai), (br, bi), (cr, ci) = (
                 (Decimal(repr(x.real)), Decimal(repr(x.imag))) for x in params)
             s = (1 + ar + br, ai + bi)
+            if num2.is_zero and (ar * br - ai * bi or ar * bi + ai * br):  # p2 = 0 iff a b = 0
+                raise ValueError(f"coefficient underflow: a b = {a} * {b} is not 0")
             # a pole that goes leaves c - (1 + a + b) z its top alone
             keep1 = (c != 0, (cr, ci) != s)
             num1 = _with_exact_top((c,) if all(keep1) else (), (-s[0], -s[1]), -2.0)
@@ -245,13 +256,11 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
         for other in by_size[i + 1:]:
             if abs(r - other) <= tol:
                 raise ValueError(f"roots {r} and {other} coincide")
-    g = CurveSpec(n, -1).genus
-    ratio = Fraction(2 * g + 2, 2 * g + 1)
+    g, ratio, q = _genus_and_ratio(n)
     df = [k * c for k, c in enumerate(f.coeffs) if k]
     # N = (3/16)(f'^2 - ratio f'' f) has degree 2n - 2 and top coefficient
     # (3/16) lead^2 for odd n; for even n its top two coefficients are 0
     sq, cross = _product(df, df), _product([k * c for k, c in enumerate(df) if k], f.coeffs)
-    q = float(ratio)
     size = 2 * n - 1 if n % 2 else 2 * n - 3
     num = Poly([3.0 / 16.0 * (x + -1.0 * (q * y)) for x, y in zip(sq[:size], cross)])
     _refuse_overflow(num)
@@ -259,6 +268,13 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
     p2 = RationalFn(num, lead * lead, tuple(chain.from_iterable(zip(roots, roots))))
     return SecondOrderODE(ZERO_RATIONAL, p2,
                           params={"genus": g, "coefficient_ratio": ratio})
+
+
+@lru_cache(maxsize=32)
+def _genus_and_ratio(n: int) -> tuple:
+    """The genus of y^2 = f for deg f = n, and (2g + 2)/(2g + 1) exact and as a float."""
+    g = CurveSpec(n, -1).genus
+    return g, (ratio := Fraction(2 * g + 2, 2 * g + 1)), float(ratio)
 
 
 def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderODE:
@@ -280,18 +296,17 @@ def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderOD
     return SecondOrderODE(p1, p2, params={"k1": k1, "k2": k2, "s": s})
 
 
-def _infinity_pole_orders(ode: SecondOrderODE) -> tuple:
+def _infinity_pole_orders(p1: RationalFn, p2: RationalFn, d1: int, d2: int) -> tuple:
     """Pole orders at w = 0 of P1 = 2/w - p1(1/w)/w^2 and P2 = p2(1/w)/w^4.
 
-    p(1/w) ~ w^-e with e = deg num - #poles, so P2 has a pole of order e + 4
+    p(1/w) ~ w^-e with e = deg num (d1, d2) - #poles, so P2 has a pole of order e + 4
     and p1(1/w)/w^2 one of order e + 2, which dominates 2/w unless e = -1.
     There p1 ~ r/z with r = num lead / den_lead, P1 ~ (2 - r)/w, and the pole
     goes iff 2 den_lead - num lead is exactly 0 (_with_exact_top keeps it so).
     """
-    p1, p2 = ode.p1, ode.p2
-    o2 = 0 if p2.is_zero else max(0, p2.num.degree - len(p2.den_roots) + 4)
-    e = p1.num.degree - len(p1.den_roots)
-    if p1.is_zero or e != -1:
+    o2 = 0 if d2 < 0 else max(0, d2 - len(p2.den_roots) + 4)
+    e = d1 - len(p1.den_roots)
+    if d1 < 0 or e != -1:
         return max(1, e + 2), o2  # the zero p1 leaves P1 = 2/w
     return (0 if 2 * p1.den_lead - p1.num.coeffs[-1] == 0 else 1), o2
 

@@ -359,6 +359,18 @@ def test_heun_pole_with_a_modulus_past_the_float_range_is_a_domain_error(capsys)
 
 
 @pytest.mark.parametrize("argv", [
+    ("Heun", "1e-200", "1e-200", "0", "0", "0", "3", "0"),
+    ("Hypergeometric", "1e-200", "1e-200", "1"),
+])
+def test_product_that_underflows_is_a_domain_error(capsys, argv):
+    # alpha beta or a b is 1e-400, not 0, though its float is 0
+    rc, out, err = invoke(capsys, "ode", "classify", "--named", argv[0], "--params", *argv[1:])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: coefficient underflow: ") and err.count("\n") == 1
+    assert "(1e-200+0j) * (1e-200+0j) is not 0" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("--pq", "1" + "0" * 400 + ",4"),
     ("--degree", "1" + "0" * 400),
 ], ids=["pq", "degree"])

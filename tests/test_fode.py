@@ -296,6 +296,32 @@ def test_whittaker_refuses_a_lead_whose_square_underflows():
     assert whittaker_equation(Poly((-1, 0, 0, 0, 0, 1e-150))).p2.den_lead == 1e-300
 
 
+@pytest.mark.parametrize("name, params", [
+    ("Heun", [1e-200, 1e-200, 0, 0, 0, 3, 0]),  # p2 = alpha beta / ((z - 1)(z - 3))
+    ("Heun", [1e-200, 1e-200, 0, 0, 0, 3, 1]),  # p2 = (alpha beta z - 1) / (...)
+    ("Heun", [1e-200j, 1e-200j, 1, 1, 1, 3, 0]),  # alpha beta = -1e-400
+    ("Hypergeometric", [1e-200, 1e-200, 1]),
+    ("Hypergeometric", [1e-200j, 1e-200, 1]),  # a b = 1e-400 i
+])
+def test_product_that_underflows_is_refused(name, params):
+    # the exact product is not 0, so p2 is not 0 either; its float is 0
+    with pytest.raises(ValueError, match=r"^coefficient underflow: "):
+        named_equation(name, params)
+
+
+@pytest.mark.parametrize("name, params, poles", [
+    ("Heun", [0, 1e-200, 0, 0, 0, 3, 0], []),  # alpha beta = q = 0: p2 = 0
+    ("Heun", [1e-160, 1e-160, 0, 0, 0, 3, 0], [1, 3]),  # alpha beta = 1e-320, subnormal
+    ("Hypergeometric", [0, 1e-200, 1], []),  # a b = 0: p2 = 0
+    ("Hypergeometric", [1e-160, 1e-160, 1], [0, 1]),
+])
+def test_product_decides_p2_exactly(name, params, poles):
+    ode = named_equation(name, params)
+    assert ode.p2.is_zero == (not poles)
+    assert list(ode.p2.den_roots) == poles
+    assert all(p in [pc.location for pc in singular_points(ode)] for p in poles)
+
+
 @pytest.mark.parametrize("roots, finite", [
     ((1.5e308 + 1.5e308j,), True),  # finite parts, modulus past the float range
     ((1e200, -1e200, 1e200j), False),  # the z coefficient is -1e400

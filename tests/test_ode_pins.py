@@ -9,7 +9,10 @@ found roots, so they are tied to the numpy/LAPACK build as well; besides the
 integer-root curves they cover seeded f with complex roots and a complex
 leading coefficient, the shape of the benchmark's separated-roots entries.  A
 printed polynomial keeps every coefficient it was built with, so its length
-is its degree plus one, however large its coefficients are.
+is its degree plus one, however large its coefficients are.  One more pin
+holds the repr of every classification over seeded cycles of the
+benchmark's ODE mix, so the order, locations and kinds of the singular
+points stay as they are, bit for bit.
 """
 
 import cmath
@@ -21,8 +24,14 @@ import random
 import pytest
 
 from fuchsian.cli import run
-from fuchsian.curves import Poly, expand_poly, integer_roots
-from fuchsian.fode import whittaker_equation
+from fuchsian.curves import Poly, curve_from_degree, expand_poly, integer_roots
+from fuchsian.fode import (
+    curve_ode,
+    is_fuchsian,
+    named_equation,
+    singular_points,
+    whittaker_equation,
+)
 from fuchsian.report import canonical_json, ode_report
 
 # `ode` argv of the benchmark's CLI menu; both precisions print the same bytes
@@ -71,6 +80,10 @@ WHITTAKER_PINS = {
         "cac0b5cc5a3528b558e3dfb6a1ca70ec1297a0209d7335a968d99f14de5514a5",
 }
 
+# sha256 of the reprs of (singular_points, is_fuchsian), one line per
+# equation, over batch_equations(random.Random(seed)) for seeds 0..19
+CLASSIFICATION_PIN = "9622ca201accd3a71319a3da8ca53c6759e772010b24fb8d16ff739b45661d7b"
+
 
 def pinned_f(key):
     """expand_poly(integer_roots(n)) for an int key n; for "complex-n", n
@@ -78,18 +91,53 @@ def pinned_f(key):
     coefficient of modulus 0.5..2, drawn from random.Random(key)."""
     if isinstance(key, int):
         return expand_poly(integer_roots(key))
-    rng, n = random.Random(key), int(key.split("-")[1])
+    return separated_f(random.Random(key), int(key.split("-")[1]))
+
+
+def _unit_scale(rng):
+    return cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi))
+
+
+def separated_f(rng, n):
+    """n roots at least 0.5 apart in the disk of radius 2, then a leading
+    coefficient of modulus 0.5..2, drawn from rng."""
     roots = []
     while len(roots) < n:
         z = cmath.rect(2.0 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi))
         if all(abs(z - r) >= 0.5 for r in roots):
             roots.append(z)
-    lead = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi))
-    return expand_poly(roots).scaled(lead)
+    return expand_poly(roots).scaled(_unit_scale(rng))
+
+
+def batch_equations(rng):
+    """One cycle of the benchmark's ODE mix, parameters drawn from rng: each
+    curve equation with k1 = k2 = 0 and with drawn k1, k2; every catalog
+    equation; the Whittaker equation of each integer-root curve polynomial
+    and of a separated-root f of each degree 5..10."""
+    c = lambda: _unit_scale(rng)  # noqa: E731
+    for n in range(5, 9):
+        yield curve_ode(curve_from_degree(n))
+        yield curve_ode(curve_from_degree(n), c(), c())
+    a = 0.5 + cmath.rect(2.0, rng.uniform(0.0, 2.0 * math.pi))  # |a|, |a - 1| >= 1.5
+    yield named_equation("Legendre", [c()])
+    yield named_equation("Tchebychev", [c()])
+    yield named_equation("Heun", [c(), c(), c(), c(), c(), a, c()])
+    yield named_equation("Hypergeometric", [c(), c(), c()])
+    yield named_equation("WhittakerHypergeometric")
+    for n in range(5, 9):
+        yield whittaker_equation(pinned_f(n))
+    for n in range(5, 11):
+        yield whittaker_equation(separated_f(rng, n))
 
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_batch_classification_is_pinned():
+    text = "\n".join(repr((singular_points(ode), is_fuchsian(ode)))
+                     for seed in range(20) for ode in batch_equations(random.Random(seed)))
+    assert sha256(text) == CLASSIFICATION_PIN
 
 
 @pytest.mark.parametrize("precision", [[], ["--precision", "17"]], ids=["default", "17"])

@@ -198,6 +198,12 @@ def _floats(*pairs):
     return [complex(float(x), float(y)) for x, y in pairs]
 
 
+def _p1_order_at_infinity(ode):
+    """The order of P1's pole at w = 0, as the classification reads it."""
+    p1, p2 = ode.p1, ode.p2
+    return _infinity_pole_orders(p1, p2, p1.num.degree, p2.num.degree)[0]
+
+
 def _mul(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
@@ -238,7 +244,7 @@ def test_hypergeometric_poles_follow_the_exact_residues(params, shape):
     else:
         assert list(ode.p1.den_roots) == _exact_poles(
             (0, 1), ((cr, ci), (cr - 1 - ar - br, ci - ai - bi)))
-    assert _infinity_pole_orders(ode)[0] == (0 if (ar + br, ai + bi) == (1, 0) else 1)
+    assert _p1_order_at_infinity(ode) == (0 if (ar + br, ai + bi) == (1, 0) else 1)
     ab_zero = (ar, ai) == (0, 0) or (br, bi) == (0, 0)
     assert list(ode.p2.den_roots) == ([] if ab_zero else [0j, 1 + 0j])
 
@@ -279,7 +285,7 @@ def test_heun_poles_follow_the_exact_residues(params, p1_shape, p2_shape):
     else:
         assert list(ode.p1.den_roots) == _exact_poles(poles, (g, d, e))
     three = (g[0] + d[0] + e[0], g[1] + d[1] + e[1])
-    assert _infinity_pole_orders(ode)[0] == (0 if three == (2, 0) else 1)
+    assert _p1_order_at_infinity(ode) == (0 if three == (2, 0) else 1)
     # p1's top coefficient is that exact sum rounded once, moved one float
     # step up where it rounds onto 2 without being 2 (the 1e-20 example);
     # each cancelled pole lowers its index by one
@@ -369,6 +375,28 @@ def _rational(spec):
 @example(([0.0, 3.0], 1.0, [1e13 + 0j, 1 + 0j]), (None, 1.0, []))  # residue 3, far pole
 @example(([1.0], complex(1.5e308, 1.5e308), [1 + 0j]), (None, 1.0, []))  # overflow
 @example(([complex(1.5e308, 1.5e308), 1.0], 1.0, [1 + 0j, 2 + 0j]), (None, 1.0, []))
+# the order: exact (re, im) where 9-decimal rounding cannot tie two neighbours,
+# else rounded keys from the p1-then-p2 order; neighbours 1e-9, 2e-9, 3e-9 apart
+@example(([1.0], 1.0, [complex(5e-9, 0.0), complex(2e-9, 2.0)]), ([1.0], 1.0, [1j]))
+@example(([1.0], 1.0, [complex(0.1 + 6e-9, 3.0), complex(0.1 + 3e-9, 2.0)]),
+         ([1.0], 1.0, [complex(0.1 + 1e-9, 0.0), complex(0.1, 1.0)]))
+@example(([1.0], 1.0, [complex(4.2e-9, 1.0), complex(2.2e-9, 2.0), complex(1.2e-9, 3.0)]),
+         ([1.0], 1.0, [complex(0.2e-9, 4.0)]))
+# re 1.1e-9 and 1.3e-9 round alike, so im orders them against the exact order
+@example(([1.0], 1.0, [complex(1.1e-9, 1.0), complex(1.3e-9, 0.0)]), (None, 1.0, []))
+# equal re, im within 2e-9: 1.5e-9 and 1.6e-9 round apart, 1.6e-9 and 1.9e-9 tie
+@example(([1.0], 1.0, [complex(1.0, 1.9e-9), complex(1.0, 1.5e-9)]),
+         ([1.0], 1.0, [complex(1.0, 1.6e-9), complex(1.0, -0.5e-9)]))
+# rounded keys equal in both coordinates: p1's point stays first, then p2's
+@example(([1.0], 1.0, [complex(2e-10, 3e-10)]), ([1.0], 1.0, [complex(1e-10, 1e-10)]))
+@example(([1.0], 1.0, [complex(0.5 + 4e-10, 1.0), complex(0.5 + 1e-10, 1.0)]),
+         ([1.0], 1.0, [complex(0.5 - 4e-10, 1.0 + 3e-10), complex(0.5, 1.0)]))
+# -0.0 beside 0.0 in re, then in im
+@example(([1.0], 1.0, [complex(0.0, 2.0), complex(-0.0, 1.0), complex(-0.0, 3e-10)]),
+         ([1.0], 1.0, [complex(0.0, 1e-10), complex(1.0, -0.0), complex(1.0, 0.0)]))
+# |re| near 1e7, where round(x, 9) is x: neighbours one float step (1.9e-9) apart
+@example(([1.0], 1.0, [complex(math.nextafter(1e7, 2e7), 0.0), complex(1e7, 1.0)]),
+         ([1.0], 1.0, [complex(-1e7, 2.0), complex(math.nextafter(-1e7, 0.0), -1.0)]))
 def test_classification_agrees_with_the_reference_scan(spec1, spec2):
     ode = SecondOrderODE(_rational(spec1), _rational(spec2))
     want = reference_singular_points(ode)
@@ -426,4 +454,4 @@ def test_residue_decisions_at_infinity_agree_with_the_reference(cs, lead, poles,
         return
     # deg den - deg num = 1: infinity reads p1's residue there
     p1 = RationalFn(p, lead, tuple(poles[:p.degree + 1]))
-    assert _infinity_pole_orders(SecondOrderODE(p1, ZERO_RATIONAL))[0] == reference_infinity_pole(p1)
+    assert _p1_order_at_infinity(SecondOrderODE(p1, ZERO_RATIONAL)) == reference_infinity_pole(p1)
