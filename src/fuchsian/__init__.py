@@ -1,74 +1,24 @@
 """Uniformization of the hyperelliptic curves y^2 = z^n - 1, degrees 5 to 8.
 
-The pipeline: a curve of degree n determines a regular tessellation of the
-unit disk, elliptic side-pairing transformations S_r, and hyperbolic
-generators S_base S_r of the covering group.  Supporting modules handle
-Moebius maps, hyperbolic geometry in disk and half-plane models, second
-order differential equations with rational coefficients, and genus bounds
-for complete bipartite graph embeddings.
+The package exports the pipeline's entry points: a curve of degree n, its
+side pairings and generators, the {p,q} tessellation and its topology, the
+curve's second order ODE and its singular points, and the K_{m,n} genus
+range.  Every other name is imported from the module that defines it, for
+example `from fuchsian.moebius import MoebiusMap`.
 """
 
-from .curves import CurveSpec, curve_from_degree, integer_roots, Poly, expand_poly
-from .embed import GenusRange, genus_range
-from .fode import (
-    PointKind,
-    SecondOrderODE,
-    curve_ode,
-    is_fuchsian,
-    named_equation,
-    singular_points,
-    whittaker_equation,
-)
-from .hyperbolic import (
-    Model,
-    ModelPoint,
-    SurfaceTopology,
-    Tessellation,
-    distance,
-    geodesic_midpoint,
-    half_turn,
-    regular_polygon_area,
-    tessellation_topology,
-)
-from .moebius import (
-    INFINITY,
-    MoebiusMap,
-    TransformClass,
-    classify,
-    compose,
-    evaluate_word,
-    fixed_points,
-    normalize,
-    projective_distance,
-    to_disk_model,
-    to_halfplane_model,
-)
+from .curves import curve_from_degree, expand_poly
+from .embed import genus_range
+from .fode import curve_ode, is_fuchsian, named_equation, singular_points, whittaker_equation
+from .hyperbolic import tessellation_topology
 from .report import canonical_json, uniformization_report
-from .uniformize import (
-    MursiParams,
-    UniformizationResult,
-    VerificationReport,
-    fixed_point_radius,
-    group_generators,
-    mursi_parameters,
-    side_transformations,
-    uniformize,
-    verify_generators,
-)
+from .uniformize import uniformize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurveSpec", "curve_from_degree", "integer_roots", "Poly",
-    "expand_poly", "GenusRange", "genus_range", "PointKind", "SecondOrderODE",
-    "curve_ode", "is_fuchsian", "named_equation", "singular_points",
-    "whittaker_equation", "Model", "ModelPoint", "SurfaceTopology",
-    "Tessellation", "distance", "geodesic_midpoint", "half_turn",
-    "regular_polygon_area", "tessellation_topology", "INFINITY",
-    "MoebiusMap", "TransformClass", "classify", "compose", "evaluate_word",
-    "fixed_points", "normalize", "projective_distance", "to_disk_model",
-    "to_halfplane_model", "canonical_json", "uniformization_report",
-    "MursiParams", "UniformizationResult", "VerificationReport",
-    "fixed_point_radius", "group_generators", "mursi_parameters",
-    "side_transformations", "uniformize", "verify_generators",
+    "curve_from_degree", "expand_poly", "genus_range", "curve_ode",
+    "named_equation", "whittaker_equation", "singular_points", "is_fuchsian",
+    "tessellation_topology", "uniformize", "uniformization_report",
+    "canonical_json",
 ]

@@ -2,13 +2,17 @@ import ast
 import builtins
 import dataclasses
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import fuchsian
-from fuchsian.curves import Poly
+from fuchsian.curves import CurveSpec, Poly
 from fuchsian.fode import RationalFn
+from fuchsian.hyperbolic import SurfaceTopology
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -30,6 +34,64 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_listed_once():
     assert len(fuchsian.__all__) == len(set(fuchsian.__all__))
+
+
+# the pipeline's entry points, by defining module: curve, generators,
+# tessellation and topology, ODE and singular points, genus range
+EXPORTED = {
+    "curves": ["curve_from_degree", "expand_poly"],
+    "embed": ["genus_range"],
+    "fode": ["curve_ode", "named_equation", "whittaker_equation", "singular_points",
+             "is_fuchsian"],
+    "hyperbolic": ["tessellation_topology"],
+    "report": ["uniformization_report", "canonical_json"],
+    "uniformize": ["uniformize"],
+}
+
+
+def test_package_exports_the_module_objects_of_the_entry_points():
+    exported = {name: module for module, names in EXPORTED.items() for name in names}
+    assert sorted(fuchsian.__all__) == sorted(exported)
+    for name, module in exported.items():
+        assert getattr(fuchsian, name) is getattr(
+            importlib.import_module(f"fuchsian.{module}"), name), name
+
+
+# public names that each have one import path, their defining module
+MODULE_ONLY = [
+    *(("curves", n) for n in ("CurveSpec", "integer_roots", "Poly")),
+    ("embed", "GenusRange"),
+    *(("fode", n) for n in ("PointKind", "SecondOrderODE")),
+    *(("hyperbolic", n) for n in (
+        "Model", "ModelPoint", "SurfaceTopology", "Tessellation", "distance",
+        "geodesic_midpoint", "half_turn", "regular_polygon_area")),
+    *(("moebius", n) for n in (
+        "INFINITY", "MoebiusMap", "TransformClass", "classify", "compose",
+        "evaluate_word", "fixed_points", "normalize", "projective_distance",
+        "to_disk_model", "to_halfplane_model")),
+    *(("uniformize", n) for n in (
+        "MursiParams", "UniformizationResult", "VerificationReport",
+        "fixed_point_radius", "group_generators", "mursi_parameters",
+        "side_transformations", "verify_generators")),
+]
+
+
+@pytest.mark.parametrize("module, name", MODULE_ONLY, ids=[n for _, n in MODULE_ONLY])
+def test_name_is_imported_from_its_module_only(module, name):
+    assert not hasattr(fuchsian, name)
+    assert name not in fuchsian.__all__
+    assert hasattr(importlib.import_module(f"fuchsian.{module}"), name)
+
+
+def test_import_loads_every_module_but_the_cli():
+    # bench's tracer wraps only the modules loaded when it is installed
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, fuchsian; "
+            "print(*sorted(m for m in sys.modules if m.startswith('fuchsian.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == [f"fuchsian.{m}" for m in (
+        "curves", "embed", "fode", "hyperbolic", "moebius", "report", "uniformize")]
 
 
 # library API deleted because no paper claim, CLI path or acceptance test reaches it
@@ -113,7 +175,7 @@ def test_deleted_method_is_gone(cls, name):
 def test_records_store_no_derived_fields():
     # genus, parity and chi are properties, so no record contradicts its degree or V, E, F
     fields = [[f.name for f in dataclasses.fields(cls)]
-              for cls in (fuchsian.CurveSpec, fuchsian.SurfaceTopology)]
+              for cls in (CurveSpec, SurfaceTopology)]
     assert fields == [["degree", "sign"], ["V", "E", "F"]]
 
 
