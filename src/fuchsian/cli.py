@@ -221,27 +221,20 @@ def _render_svg(curve, result) -> str:
         return half + scale * z.real, half - scale * z.imag
 
     roots = curve.singularities
-    n = len(roots)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
         f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
         f'<circle cx="{half}" cy="{half}" r="{scale}" fill="none" '
         f'stroke="black" stroke-width="1.5"/>',
     ]
-    for k in range(n):
-        u, v = roots[k], roots[(k + 1) % n]
-        mid = (u + v) / abs(u + v)
-        delta_half = math.acos(min(abs(u + v) / 2.0, 1.0))
-        center = mid / math.cos(delta_half)
-        radius = math.tan(delta_half) * scale
+    # n vertices 2 pi/n apart: each side is a clockwise arc (sweep 1) of radius tan(pi/n)
+    radius = math.tan(math.pi / len(roots)) * scale
+    for u, v in zip(roots, roots[1:] + roots[:1]):
         ux, uy = pt(u)
         vx, vy = pt(v)
-        cx, cy = pt(center)
-        cross = (ux - cx) * (vy - cy) - (uy - cy) * (vx - cx)
-        sweep = 1 if cross > 0 else 0
         parts.append(
             f'<path d="M {ux:.2f} {uy:.2f} A {radius:.2f} {radius:.2f} 0 0 '
-            f'{sweep} {vx:.2f} {vy:.2f}" fill="none" stroke="steelblue" '
+            f'1 {vx:.2f} {vy:.2f}" fill="none" stroke="steelblue" '
             f'stroke-width="1.2"/>')
     for z in roots:
         x, y = pt(z)

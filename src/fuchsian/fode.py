@@ -88,21 +88,21 @@ def _refuse_overflow(*polys: Poly) -> None:
 
 def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
     """num / (den_lead * prod(z - s)) over the poles s in den_roots, which the
-    caller wrote num over; a zero num is ZERO_RATIONAL."""
+    caller wrote num over; an overflowed num is refused, a zero num is ZERO_RATIONAL."""
+    _refuse_overflow(num)
     if num.is_zero:
         return ZERO_RATIONAL
     return RationalFn(num, complex(den_lead), tuple(map(complex, den_roots)))
 
 
-def _with_exact_top(low: tuple, top: tuple, target: float) -> Poly:
-    """low + top z^len(low), the exact (real, imaginary) decimals top rounded
-    once; one float step up if it is not target (2 den_lead) but rounds onto it."""
-    re, im = map(float, top)
+def _with_exact_top(low: tuple, top: tuple, den_lead: float, poles) -> RationalFn:
+    """(low + top z^len(low)) / (den_lead * prod(z - s)), the exact (real,
+    imaginary) decimals top rounded once; one float step up if it is not
+    2 den_lead but rounds onto it."""
+    re, im, target = *map(float, top), 2 * den_lead
     if re == target and im == 0 and top != (target, 0):
         re = math.nextafter(re, math.inf)
-    num = Poly((*low, complex(re, im)))
-    _refuse_overflow(num)
-    return num
+    return _build_rational(Poly((*low, complex(re, im))), den_lead, poles)
 
 
 ZERO_RATIONAL = RationalFn(Poly((0.0,)), 1.0, ())
@@ -175,9 +175,9 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
     if key in ("Legendre", "Tchebychev"):
         lam = params[0]
         c, k = (2.0, lam * (lam + 1)) if key == "Legendre" else (1.0, lam * lam)
+        # nothing cancels: 2z, z and a constant are not 0 at +-1
         p1 = _build_rational(Poly((0.0, c)), -1.0, [1.0, -1.0])
         p2 = _build_rational(Poly((k,)), -1.0, [1.0, -1.0])
-        _refuse_overflow(p2.num)  # nothing cancels: 2z, z and a constant are not 0 at +-1
     elif key == "Heun":
         al, be, ga, de, ep, a, q = params
         if a == 0 or a == 1:
@@ -204,29 +204,26 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
             # p2's residues at 0, 1, a: q, alpha beta - q, alpha beta a - q
             gone2 = (q == 0, abr == qr and abi == qi,
                      abr * ar - abi * ai == qr and abr * ai + abi * ar == qi)
-            num1 = _with_exact_top(low1, (gr + dr + er, gi + di + ei), 2.0)
+            p1 = _with_exact_top(low1, (gr + dr + er, gi + di + ei), 1.0, [s for s, _ in kept1])
         # one pole of p2 goes at most, unless p2 = 0, and leaves alpha beta
-        num2 = Poly((ab,) if any(gone2) else (-q, ab))
-        _refuse_overflow(num2)
-        p1 = _build_rational(num1, 1.0, [s for s, _ in kept1])
-        p2 = _build_rational(num2, 1.0, [s for s, gone in zip(poles, gone2) if not gone])
+        p2 = _build_rational(Poly((ab,) if any(gone2) else (-q, ab)), 1.0,
+                             [s for s, gone in zip(poles, gone2) if not gone])
     elif key == "Hypergeometric":
         a, b, c = params
         # z(1-z) = -1 * z(z-1); an overflow is reported with the float sum
-        num2 = Poly((-a * b,))
-        _refuse_overflow(Poly((c, -(1.0 + a + b))), num2)
+        _refuse_overflow(Poly((c, -(1.0 + a + b))))
+        p2 = _build_rational(Poly((-a * b,)), -1.0, [0.0, 1.0])
         with localcontext(_EXACT):
             # 1 + a + b: c minus it is the residue at 1, and it is 2 at infinity
             (ar, ai), (br, bi), (cr, ci) = (
                 (Decimal(repr(x.real)), Decimal(repr(x.imag))) for x in params)
             s = (1 + ar + br, ai + bi)
-            if num2.is_zero and (ar * br - ai * bi or ar * bi + ai * br):  # p2 = 0 iff a b = 0
+            if p2.is_zero and (ar * br - ai * bi or ar * bi + ai * br):  # p2 = 0 iff a b = 0
                 raise ValueError(f"coefficient underflow: a b = {a} * {b} is not 0")
             # a pole that goes leaves c - (1 + a + b) z its top alone
             keep1 = (c != 0, (cr, ci) != s)
-            num1 = _with_exact_top((c,) if all(keep1) else (), (-s[0], -s[1]), -2.0)
-        p1 = _build_rational(num1, -1.0, [p for p, kept in zip((0.0, 1.0), keep1) if kept])
-        p2 = _build_rational(num2, -1.0, [0.0, 1.0])
+            p1 = _with_exact_top((c,) if all(keep1) else (), (-s[0], -s[1]), -1.0,
+                                 [p for p, kept in zip((0.0, 1.0), keep1) if kept])
     else:  # WhittakerHypergeometric
         p1 = _build_rational(Poly((-20.0, 40.0)), 25.0, [0.0, 1.0])
         p2 = _build_rational(Poly((2.0,)), 25.0, [0.0, 1.0])
@@ -263,9 +260,8 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
     sq, cross = _product(df, df), _product([k * c for k, c in enumerate(df) if k], f.coeffs)
     size = 2 * n - 1 if n % 2 else 2 * n - 3
     num = Poly([3.0 / 16.0 * (x + -1.0 * (q * y)) for x, y in zip(sq[:size], cross)])
-    _refuse_overflow(num)
     # N(r) = (3/16) f'(r)^2 != 0 at each simple root r of f: nothing cancels
-    p2 = RationalFn(num, lead * lead, tuple(chain.from_iterable(zip(roots, roots))))
+    p2 = _build_rational(num, lead * lead, chain.from_iterable(zip(roots, roots)))
     return SecondOrderODE(ZERO_RATIONAL, p2,
                           params={"genus": g, "coefficient_ratio": ratio})
 

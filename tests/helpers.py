@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from fuchsian.fode import PointClass, PointKind
 from fuchsian.moebius import INFINITY
-from fuchsian.report import round_sig
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 
@@ -45,13 +44,19 @@ def max_table_deviation(degree, convention, generators, labels, base=1):
     return worst
 
 
+def _round(x, precision):
+    """x to `precision` significant digits, an exact zero as 0.0; restated
+    here so that the encoder oracle shares no code with the report module."""
+    return float(f"{x:.{precision}g}") if x else 0.0
+
+
 def _walk(obj, precision):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, complex):
-        return [round_sig(obj.real, precision), round_sig(obj.imag, precision)]
+        return [_round(obj.real, precision), _round(obj.imag, precision)]
     if isinstance(obj, float):
-        return round_sig(obj, precision)
+        return _round(obj, precision)
     if isinstance(obj, Fraction):
         return [obj.numerator, obj.denominator]
     if isinstance(obj, dict):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -101,6 +102,24 @@ def test_uniformize_svg_format(capsys):
     assert out.count('class="vertex"') == 7
     assert out.count("<path") == 7
     assert out.count('class="fixed-point"') == 7
+
+
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 10])
+def test_uniformize_svg_sides_join_consecutive_vertices(capsys, n, sign):
+    # each side of the regular ideal n-gon is the geodesic between neighbouring
+    # vertices: an arc of radius tan(pi/n) in disk units (240/1.15 pixels each),
+    # turning clockwise on screen
+    rc, out, _ = invoke(capsys, "uniformize", "--degree", str(n), "--sign", sign,
+                        "--format", "svg")
+    assert rc == 0
+    vertices = re.findall(r'class="vertex" cx="([^"]+)" cy="([^"]+)"', out)
+    paths = re.findall(r'<path d="M (\S+) (\S+) A (\S+) (\S+) 0 0 (\S+) (\S+) (\S+)"', out)
+    assert len(vertices) == len(paths) == n == out.count("<path")
+    radius = f"{math.tan(math.pi / n) * 240 / 1.15:.2f}"
+    for k, (ux, uy, rx, ry, sweep, vx, vy) in enumerate(paths):
+        assert (ux, uy) == vertices[k] and (vx, vy) == vertices[(k + 1) % n]
+        assert (rx, ry, sweep) == (radius, radius, "1")
 
 
 @pytest.mark.parametrize("options, named", [

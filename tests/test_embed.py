@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,11 +95,34 @@ def test_genus_range_matches_traced_rotation_systems(m, n, expected):
 # rotation systems of K_{2,8} by genus; vertex 0's rotation is fixed, so
 # they are the 7! = 5040 cyclic orders at vertex 1
 K28_GENERA = {0: 1, 1: 126, 2: 1869, 3: 3044}
+# the same for K_{2,n}: the (n-1)! cyclic orders at vertex 1
+K2N_GENERA = {
+    4: {0: 1, 1: 5},
+    5: {0: 1, 1: 15, 2: 8},
+    6: {0: 1, 1: 35, 2: 84},
+    7: {0: 1, 1: 70, 2: 469, 3: 180},
+    8: K28_GENERA,
+}
 
 
-def test_k28_genus_distribution_is_pinned():
-    assert _embedding_genera(2, 8) == K28_GENERA
-    assert sum(K28_GENERA.values()) == math.factorial(7)
+def _stirling_cycles(n, k):
+    """Unsigned Stirling number of the first kind: permutations of n with k cycles."""
+    row = [1]  # n = 0
+    for m in range(n):
+        row = [(row[j - 1] if j else 0) + (m * row[j] if j < len(row) else 0)
+               for j in range(m + 2)]
+    return row[k]
+
+
+@pytest.mark.parametrize("n", sorted(K2N_GENERA))
+def test_k2n_genus_distribution_is_pinned(n):
+    expected = K2N_GENERA[n]
+    assert _embedding_genera(2, n) == expected
+    assert sum(expected.values()) == math.factorial(n - 1)
+    # Zagier (Nieuw Arch. Wisk. 13, 1995): 2 c(n+1, n-2g) / (n(n+1)) of them have genus g
+    zagier = {g: Fraction(2 * _stirling_cycles(n + 1, n - 2 * g), n * (n + 1))
+              for g in range(n // 2 + 1)}
+    assert {g: count for g, count in zagier.items() if count} == expected
 
 
 def test_k28_genus_distribution_matches_the_cycle_count():

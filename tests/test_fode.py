@@ -123,6 +123,22 @@ def test_tchebychev():
     assert singular_points(ode)[-1].kind is PointKind.REGULAR_SINGULAR  # infinity
 
 
+@pytest.mark.parametrize("name, poly, residual", [
+    # P_2 = (3z^2 - 1)/2 and T_2 = 2z^2 - 1, both with lambda = 2
+    # at z = 0.3, 12z^2/(1-z^2) = 1.18681... and 8z^2/(1-z^2) = 0.79120...
+    ("Legendre", lambda z: (1.5 * z * z - 0.5, 3 * z, 3.0), 12 * 0.09 / 0.91),
+    ("Tchebychev", lambda z: (2 * z * z - 1, 4 * z, 4.0), 8 * 0.09 / 0.91),
+])
+def test_catalog_p1_is_the_negated_classical_sign(name, poly, residual):
+    # the catalog's p1 = 2z/(1-z^2) and z/(1-z^2) are the negatives of the
+    # classical -2z/(1-z^2) and -z/(1-z^2): the degree-2 polynomial solution
+    # leaves 12z^2/(1-z^2) and 8z^2/(1-z^2), and solves the equation once p1 is negated
+    ode = named_equation(name, [2.0])
+    y, dy, d2y = poly(0.3)
+    assert d2y + ode.p1(0.3) * dy + ode.p2(0.3) * y == pytest.approx(residual, abs=5e-16)
+    assert abs(d2y - ode.p1(0.3) * dy + ode.p2(0.3) * y) <= 5e-16
+
+
 def test_hypergeometric():
     ode = named_equation("Hypergeometric", [0.5, 0.5, 1.0])
     assert finite_locations(ode) == [0.0, 1.0]
