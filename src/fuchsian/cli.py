@@ -274,7 +274,7 @@ def _cmd_ode_build(args) -> int:
 
 def _cmd_ode_classify(args) -> int:
     ode = fode.named_equation(args.named, args.params)
-    doc = ode_report(ode, name=ode.params.get("name"), params=list(args.params))
+    doc = ode_report(ode, name=ode.name, params=list(args.params))
     print(canonical_json(doc, args.precision))
     return 0
 

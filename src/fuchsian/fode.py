@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from enum import Enum
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 
@@ -125,11 +124,11 @@ class PointClass:
 
 @dataclass(frozen=True)
 class SecondOrderODE:
-    """y'' + p1 y' + p2 y = 0."""
+    """y'' + p1 y' + p2 y = 0; name is the catalog's spelling, None off the catalog."""
 
     p1: RationalFn
     p2: RationalFn
-    params: dict = field(default_factory=dict)
+    name: str | None = None
 
     @cached_property
     def _classified_points(self) -> tuple:
@@ -228,7 +227,7 @@ def named_equation(name: str, params=()) -> SecondOrderODE:
         p1 = _build_rational(Poly((-20.0, 40.0)), 25.0, [0.0, 1.0])
         p2 = _build_rational(Poly((2.0,)), 25.0, [0.0, 1.0])
 
-    return SecondOrderODE(p1, p2, params={"name": key})
+    return SecondOrderODE(p1, p2, key)
 
 
 def whittaker_equation(f: Poly) -> SecondOrderODE:
@@ -253,24 +252,16 @@ def whittaker_equation(f: Poly) -> SecondOrderODE:
         for other in by_size[i + 1:]:
             if abs(r - other) <= tol:
                 raise ValueError(f"roots {r} and {other} coincide")
-    g, ratio, q = _genus_and_ratio(n)
+    q = (n + 1) / n if n % 2 else n / (n - 1)  # (2g + 2)/(2g + 1)
     df = [k * c for k, c in enumerate(f.coeffs) if k]
-    # N = (3/16)(f'^2 - ratio f'' f) has degree 2n - 2 and top coefficient
+    # N = (3/16)(f'^2 - q f'' f) has degree 2n - 2 and top coefficient
     # (3/16) lead^2 for odd n; for even n its top two coefficients are 0
     sq, cross = _product(df, df), _product([k * c for k, c in enumerate(df) if k], f.coeffs)
     size = 2 * n - 1 if n % 2 else 2 * n - 3
     num = Poly([3.0 / 16.0 * (x + -1.0 * (q * y)) for x, y in zip(sq[:size], cross)])
     # N(r) = (3/16) f'(r)^2 != 0 at each simple root r of f: nothing cancels
     p2 = _build_rational(num, lead * lead, chain.from_iterable(zip(roots, roots)))
-    return SecondOrderODE(ZERO_RATIONAL, p2,
-                          params={"genus": g, "coefficient_ratio": ratio})
-
-
-@lru_cache(maxsize=32)
-def _genus_and_ratio(n: int) -> tuple:
-    """The genus of y^2 = f for deg f = n, and (2g + 2)/(2g + 1) exact and as a float."""
-    g = CurveSpec(n, -1).genus
-    return g, (ratio := Fraction(2 * g + 2, 2 * g + 1)), float(ratio)
+    return SecondOrderODE(ZERO_RATIONAL, p2)
 
 
 def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderODE:
@@ -289,7 +280,7 @@ def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderOD
     # the residue at s is exactly 2, and k1 and k2 are exact: nothing cancels
     p1 = RationalFn(Poly((2.0 - k1 * s, k1)), 1.0, (complex(s),))
     p2 = RationalFn(Poly((k2,)), 1 + 0j, ())
-    return SecondOrderODE(p1, p2, params={"k1": k1, "k2": k2, "s": s})
+    return SecondOrderODE(p1, p2)
 
 
 def _infinity_pole_orders(p1: RationalFn, p2: RationalFn, d1: int, d2: int) -> tuple:

@@ -6,15 +6,13 @@ areas, and the combinatorics of regular tessellations {p, q}.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .moebius import (
-    MoebiusMap,
-    disk_point_to_halfplane,
-    halfplane_point_to_disk,
-)
+from .moebius import MoebiusMap, disk_point_to_halfplane, halfplane_point_to_disk
 
 
 class NotHyperbolic(ValueError):
@@ -34,6 +32,8 @@ class ModelPoint:
     def __post_init__(self):
         z = complex(self.z)
         object.__setattr__(self, "z", z)
+        if not cmath.isfinite(z):
+            raise ValueError(f"{z} is not a finite point")
         if self.model is Model.DISK and abs(z) >= 1.0:
             raise ValueError(f"|{z}| >= 1 is not inside the disk")
         if self.model is Model.HALF_PLANE and z.imag <= 0.0:
@@ -101,6 +101,11 @@ class Tessellation:
     q: int
 
     def __post_init__(self):
+        try:  # an int or numpy integer: 8.0 and 8.5 are refused
+            object.__setattr__(self, "p", operator.index(self.p))
+            object.__setattr__(self, "q", operator.index(self.q))
+        except TypeError:
+            raise ValueError(f"{{{self.p!r},{self.q!r}}}: both entries must be integers") from None
         if self.p < 3 or self.q < 3:
             raise ValueError(f"{{{self.p},{self.q}}}: both entries must be >= 3")
 

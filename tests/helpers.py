@@ -6,6 +6,7 @@ import math
 import pathlib
 from fractions import Fraction
 
+from fuchsian.curves import Poly, _product
 from fuchsian.fode import PointClass, PointKind
 from fuchsian.moebius import INFINITY
 
@@ -69,6 +70,20 @@ def _walk(obj, precision):
 def oracle_json(obj, precision=7):
     """Reference for canonical_json: a rounded copy through the stdlib encoder."""
     return json.dumps(_walk(obj, precision), sort_keys=True, indent=2)
+
+
+def reference_whittaker_numerator(f):
+    """(3/16)(f'^2 - ((2g+2)/(2g+1)) f'' f) for the genus g of y^2 = f, in the
+    float operations whittaker_equation rounds it in: degree 2n - 2 for odd
+    n = deg f; for even n the top two coefficients are 0 and are cut."""
+    n = f.degree
+    g = (n - 1) // 2
+    df = [k * c for k, c in enumerate(f.coeffs) if k]
+    ddf = [k * c for k, c in enumerate(df) if k]
+    q = float(Fraction(2 * g + 2, 2 * g + 1))
+    want = [x + -1.0 * (q * y) for x, y in zip(_product(df, df), _product(ddf, f.coeffs))]
+    size = 2 * n - 1 if n % 2 else 2 * n - 3
+    return Poly([3 / 16 * c for c in want[:size]])
 
 
 # --- reference classification -------------------------------------------------

@@ -2,7 +2,6 @@ import cmath
 import dataclasses
 import inspect
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from fuchsian.fode import (
 )
 from fuchsian.moebius import INFINITY, is_infinity
 
-from helpers import reference_pole_order
+from helpers import reference_pole_order, reference_whittaker_numerator
 
 
 def finite_locations(ode):
@@ -113,7 +112,18 @@ def test_legendre():
     assert locs == [-1.0, 1.0]
     assert all(p.kind is PointKind.REGULAR_SINGULAR for p in singular_points(ode))
     assert is_fuchsian(ode)
-    assert ode.params["name"] == "Legendre"
+    assert ode.name == "Legendre"
+
+
+def test_ode_record_is_frozen_and_hashable():
+    ode = named_equation("legendre", [2])
+    assert [f.name for f in dataclasses.fields(SecondOrderODE)] == ["p1", "p2", "name"]
+    assert ode == named_equation("Legendre", [2])
+    assert hash(ode) == hash(named_equation("Legendre", [2]))
+    assert curve_ode(curve_from_degree(5)).name is None
+    for field, value in (("p1", ZERO_RATIONAL), ("p2", ZERO_RATIONAL), ("name", "Heun")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ode, field, value)
 
 
 def test_tchebychev():
@@ -244,8 +254,8 @@ def test_first_coefficient_cancellation_at_infinity():
 def test_whittaker_z5():
     f = Poly((-1.0, 0.0, 0.0, 0.0, 0.0, 1.0))  # z^5 - 1
     ode = whittaker_equation(f)
-    assert ode.params["genus"] == 2
-    assert ode.params["coefficient_ratio"] == Fraction(6, 5)
+    # (3/16)(z^8 + 24 z^3): the 24 is (2g+2)/(2g+1) = 6/5 times f'' f's 20
+    assert ode.p2.num.coeffs == (0, 0, 0, 4.5, 0, 0, 0, 0, 0.1875)
     assert is_fuchsian(ode)
     pts = singular_points(ode)
     assert len(pts) == 6  # five roots of unity plus infinity
@@ -278,7 +288,7 @@ def test_whittaker_pole_structure():
 def test_whittaker_keeps_a_double_pole_at_every_root(f):
     ode = whittaker_equation(f)
     n = f.degree
-    assert ode.params["genus"] == math.ceil(n / 2) - 1
+    assert repr(ode.p2.num) == repr(reference_whittaker_numerator(f))
     # N keeps degree 2n - 2 for odd n and 2n - 4 for even n
     assert ode.p2.num.degree == (2 * n - 2 if n % 2 else 2 * n - 4)
     roots = f.roots()
@@ -352,8 +362,8 @@ def test_denominator_is_refused_only_for_a_non_finite_part(roots, finite):
 
 
 def test_whittaker_degrees_and_errors():
-    assert whittaker_equation(expand_poly([0, 1, 2, 3, 4, 5])).params["genus"] == 2
-    assert whittaker_equation(expand_poly([0, 1, 2, 3, 4, 5, 6])).params["genus"] == 3
+    for f in (expand_poly([0, 1, 2, 3, 4, 5]), expand_poly([0, 1, 2, 3, 4, 5, 6])):
+        assert repr(whittaker_equation(f).p2.num) == repr(reference_whittaker_numerator(f))
     with pytest.raises(ValueError, match="deg f = 2 < 5"):
         whittaker_equation(expand_poly([0.0, 1.0]))
     # a double root coincides wherever it lies, at 0 (found exactly) or near it
@@ -498,7 +508,7 @@ def test_curve_ode_all_degrees():
     for n in (5, 6, 7, 8):
         ode = curve_ode(curve_from_degree(n))
         s = 1.0 if n % 2 == 0 else -1.0
-        assert ode.params["s"] == s
+        assert ode.p1.den_roots == (s,)
         assert reference_pole_order(ode.p1, s) == 1
         assert finite_locations(ode) == [s]
         assert is_fuchsian(ode)
@@ -529,7 +539,8 @@ def test_curve_ode_coefficients():
     z = 4.0
     assert abs(ode.p1(z) - (2.0 / (z - 1) + 1.0)) < 1e-12
     assert abs(ode.p2(z) - 2.0) < 1e-12
-    assert ode.params["k1"] == 1.0 and ode.params["k2"] == 2.0
+    assert ode.p1.num.coeffs == (2 - 1.0 * 1.0, 1.0)  # (2 - k1 s, k1) at s = 1
+    assert ode.p2.num.coeffs == (2.0,)
     # nonzero k1 forces an irregular point at infinity
     assert singular_points(ode)[-1].kind is PointKind.IRREGULAR_SINGULAR  # infinity
     assert not is_fuchsian(ode)

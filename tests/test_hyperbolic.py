@@ -16,6 +16,7 @@ from fuchsian.hyperbolic import (
     tessellation_topology,
 )
 from fuchsian.moebius import apply, compose, is_projectively_identity, normalize
+from fuchsian.report import canonical_json, tessellation_report
 
 
 def test_point_validation():
@@ -25,6 +26,12 @@ def test_point_validation():
         ModelPoint.disk(1.0)
     with pytest.raises(ValueError, match="is not in the upper half-plane"):
         ModelPoint.half_plane(1.0 - 0.1j)
+    # a non-finite point is refused before either model's test can pass it
+    for make, z in ((ModelPoint.disk, complex("nan")),
+                    (ModelPoint.half_plane, complex(math.nan, 1)),
+                    (ModelPoint.half_plane, complex(0, math.inf))):
+        with pytest.raises(ValueError, match="is not a finite point"):
+            make(z)
 
 
 def test_known_distances():
@@ -121,6 +128,19 @@ def test_tessellation_validity():
     assert not Tessellation(3, 5).is_hyperbolic  # spherical
     with pytest.raises(ValueError):
         Tessellation(2, 7)
+
+
+@pytest.mark.parametrize("p, q", [(8.5, 8), (3.5, 7), (8.0, 8), (8, np.float64(8))])
+def test_tessellation_refuses_non_integers(p, q):
+    with pytest.raises(ValueError, match="both entries must be integers"):
+        Tessellation(p, q)
+
+
+def test_tessellation_stores_python_ints():
+    t = Tessellation(np.int64(8), np.int32(8))
+    assert (t.p, t.q) == (8, 8) and type(t.p) is int and type(t.q) is int
+    text = canonical_json(tessellation_report(t))
+    assert '"p": 8,' in text and '"genus": 2' in text
 
 
 def test_polygon_areas():

@@ -10,6 +10,8 @@ start.  Stdlib only.
 import cmath
 import math
 
+import pytest
+
 from fuchsian.curves import Poly, curve_from_degree
 from fuchsian.fode import named_equation, whittaker_equation
 from fuchsian.uniformize import mursi_parameters, side_transformations
@@ -83,3 +85,18 @@ def test_whittaker_hypergeometric_is_the_555_triangle_equation():
         a, b, c, d = _transport(ode, _circle(center, radius, 0.0, 24), 100)
         got = abs(a + d) / math.sqrt(abs(a * d - b * c))
         assert abs(got - 2 * math.cos(math.pi / 5)) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_triangle_equation_local_monodromies(n):
+    # the (n, 2, r) triangle equation, r = 2n for odd n and n for even n, has
+    # exponent differences 1 - c = 1/n at 0, c - a - b = 1/2 at 1 and
+    # a - b = 1/r at infinity, so the local monodromy there is, up to scale,
+    # a rotation by 2 pi/m for m = n, 2 and r
+    r = 2 * n if n % 2 else n
+    a, b = (0.5 - 1 / n + 1 / r) / 2, (0.5 - 1 / n - 1 / r) / 2
+    ode = named_equation("Hypergeometric", [a, b, 1 - 1 / n])
+    for (center, radius), m in zip(((0.0, 0.5), (1.0, 0.5), (0.5, 1.5)), (n, 2, r)):
+        ta, tb, tc, td = _transport(ode, _circle(center, radius, 0.0, 24), 50)
+        got = abs(ta + td) / math.sqrt(abs(ta * td - tb * tc))
+        assert abs(got - 2 * math.cos(math.pi / m)) < 1e-10

@@ -7,7 +7,6 @@ import cmath
 import json
 import math
 from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +25,8 @@ from fuchsian.moebius import (
 from fuchsian.report import canonical_json
 
 from helpers import (
-    oracle_json, reference_infinity_pole, reference_pole_order, reference_singular_points)
+    oracle_json, reference_infinity_pole, reference_pole_order, reference_singular_points,
+    reference_whittaker_numerator)
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -178,15 +178,7 @@ SECTOR_ROOTS = st.integers(5, 12).flatmap(lambda n: st.lists(
 @example([1.0, 1j, -1.0, -1j, 0.5 + 0.5j, -0.5 - 0.5j], 1.0)  # even: the top two cancel
 def test_whittaker_numerator_is_the_poly_expression(roots, lead):
     f = expand_poly(roots).scaled(lead)
-    n = len(roots)
-    g = (n - 1) // 2
-    df = [k * c for k, c in enumerate(f.coeffs) if k]
-    ddf = [k * c for k, c in enumerate(df) if k]
-    q = float(Fraction(2 * g + 2, 2 * g + 1))
-    want = [x + -1.0 * (q * y) for x, y in zip(_product(df, df), _product(ddf, f.coeffs))]
-    # degree 2n - 2 for odd n; for even n the top two coefficients are 0
-    size = 2 * n - 1 if n % 2 else 2 * n - 3
-    assert repr(whittaker_equation(f).p2.num) == repr(Poly([3 / 16 * c for c in want[:size]]))
+    assert repr(whittaker_equation(f).p2.num) == repr(reference_whittaker_numerator(f))
 
 
 # short decimals, as typed at the CLI: each float's repr gives its decimal back
