@@ -132,16 +132,11 @@ class SecondOrderODE:
 
     @cached_property
     def _classified_points(self) -> tuple:
-        """Finite poles of p1 and p2, equal ones merged and sorted by (re, im) to 9
-        decimals (p1's first on a tie), plus infinity; classified once and kept."""
+        """Finite poles of p1 and p2 sorted by exact (re, im), equal ones (-0.0 == 0.0)
+        merged into the first seen, plus infinity; classified once and kept."""
         p1, p2, d1, d2 = self.p1, self.p2, self.p1.num.degree, self.p2.num.degree
         r1, r2 = (p1.den_roots if d1 >= 0 else ()), (p2.den_roots if d2 >= 0 else ())
         finite = sorted(dict.fromkeys(r1 + r2), key=attrgetter("real", "imag"))
-        # rounding is monotone and ties no values 2e-9 apart: then both sorts agree
-        if not all(b.real - a.real >= 2e-9 or (b.real == a.real and b.imag - a.imag >= 2e-9)
-                   for a, b in zip(finite, finite[1:])):
-            finite = sorted(dict.fromkeys(r1 + r2),
-                            key=lambda z: (round(z.real, 9), round(z.imag, 9)))
         kinds = map(_kind, map(r1.count, finite), map(r2.count, finite))
         return (*map(PointClass, finite, kinds),
                 PointClass(INFINITY, _kind(*_infinity_pole_orders(p1, p2, d1, d2))))
@@ -277,6 +272,8 @@ def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderOD
         raise ValueError(f"degree {n} not in 5..8")
     s = -1.0 if n % 2 else 1.0
     k1, k2 = complex(k1), complex(k2)
+    if not (cmath.isfinite(k1) and cmath.isfinite(k2)):  # each part, not the modulus
+        raise ValueError(f"k1 = {k1} and k2 = {k2} must be finite")
     # the residue at s is exactly 2, and k1 and k2 are exact: nothing cancels
     p1 = RationalFn(Poly((2.0 - k1 * s, k1)), 1.0, (complex(s),))
     p2 = RationalFn(Poly((k2,)), 1 + 0j, ())

@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .moebius import MoebiusMap, disk_point_to_halfplane, halfplane_point_to_disk
+from .moebius import MoebiusMap
 
 
 class NotHyperbolic(ValueError):
@@ -54,32 +54,32 @@ def _same_model(x: ModelPoint, y: ModelPoint):
 
 
 def distance(x: ModelPoint, y: ModelPoint) -> float:
-    """Hyperbolic distance between two points of the same model."""
+    """Hyperbolic distance 2 asinh(q) between two points of the same model."""
     _same_model(x, y)
     u, v = x.z, y.z
     if x.model is Model.DISK:
-        arg = 1.0 + 2.0 * abs(u - v) ** 2 / ((1.0 - abs(u) ** 2) * (1.0 - abs(v) ** 2))
-    else:
-        arg = 1.0 + abs(u - v) ** 2 / (2.0 * u.imag * v.imag)
-    return math.acosh(max(arg, 1.0))
+        q = abs(u - v) / math.sqrt((1.0 - abs(u) ** 2) * (1.0 - abs(v) ** 2))
+    else:  # |u - v| / (2 sqrt(Im u Im v)), halved and rooted apart so that nothing overflows
+        q = abs(u - v) / 2.0 / (math.sqrt(u.imag) * math.sqrt(v.imag))
+    return 2.0 * math.asinh(q)
 
 
 def geodesic_midpoint(x: ModelPoint, y: ModelPoint) -> ModelPoint:
-    """The point halfway along the geodesic segment from x to y."""
+    """Halfway along the geodesic from x to y: the normalized sum of both on the hyperboloid."""
     _same_model(x, y)
     if x.z == y.z:
         raise ValueError("midpoint of a single point is ill-defined")
-    if x.model is Model.HALF_PLANE:
-        m = geodesic_midpoint(
-            ModelPoint.disk(halfplane_point_to_disk(x.z)),
-            ModelPoint.disk(halfplane_point_to_disk(y.z)),
-        )
-        return ModelPoint.half_plane(disk_point_to_halfplane(m.z))
-    # translate x to the origin, halve the radial distance, translate back
-    w = (y.z - x.z) / (1.0 - x.z.conjugate() * y.z)
-    t = math.tanh(math.atanh(abs(w)) / 2.0)
-    m0 = t * w / abs(w)
-    return ModelPoint.disk((m0 + x.z) / (1.0 + x.z.conjugate() * m0))
+    u, v = x.z, y.z
+    if x.model is Model.DISK:
+        pu, pv = 1.0 - abs(u) ** 2, 1.0 - abs(v) ** 2
+        r = math.sqrt(pu * pv)
+        den = 1.0 - abs(u) ** 2 * abs(v) ** 2 + r * math.hypot(r, abs(u - v))
+        return ModelPoint.disk((u * pv + v * pu) / den)
+    # (x1 y2 + x2 y1 + i r hypot(2r, |u - v|)) / h, r = sqrt(y1 y2), h = y1 + y2
+    lo, hi = (u, v) if u.imag <= v.imag else (v, u)  # x is exact where x1 = x2 or y_lo << y_hi
+    r, h = math.sqrt(u.imag) * math.sqrt(v.imag), u.imag + v.imag
+    re = lo.real + (hi.real - lo.real) * (lo.imag / h)
+    return ModelPoint.half_plane(complex(re, r * math.hypot(2.0 * r, abs(u - v)) / h))
 
 
 def half_turn(p: ModelPoint) -> MoebiusMap:

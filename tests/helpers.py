@@ -136,13 +136,13 @@ def reference_kind(o1, o2):
 
 def reference_singular_points(ode):
     """Finite poles of p1 then p2, deduplicated by == in order (the first
-    seen stays) and sorted, plus infinity, each classified from its pole
-    orders."""
+    seen stays) and sorted by exact (re, im), plus infinity, each classified
+    from its pole orders."""
     finite = []
     for r in ode.p1.den_roots + ode.p2.den_roots:
         if r not in finite:
             finite.append(r)
-    finite.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+    finite.sort(key=lambda z: (z.real, z.imag))
     points = [PointClass(z, reference_kind(reference_pole_order(ode.p1, z),
                                            reference_pole_order(ode.p2, z)))
               for z in finite]

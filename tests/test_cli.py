@@ -29,6 +29,32 @@ def test_genus_range_command(capsys):
     assert out.strip() == "g_min=0 g_max=3"
 
 
+def readme_commands():
+    """(argv, expected stdout or None) for each command of the README's
+    `Command line` block; a `# -> text` comment is the stdout it prints, any
+    other comment and a `> file` redirect are dropped."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    commands = []
+    for line in filter(str.strip, block.splitlines()):
+        command, _, comment = line.partition("#")
+        argv = command.partition(">")[0].split()
+        assert argv[0] == "fuchsian", line
+        expect = comment.strip()[3:] + "\n" if comment.strip().startswith("-> ") else None
+        commands.append((argv[1:], expect))
+    return commands
+
+
+def test_readme_command_line_block_runs(capsys):
+    commands = readme_commands()
+    assert len(commands) == 10
+    assert (["genus-range", "2", "8"], "g_min=0 g_max=3\n") in commands
+    for argv, expect in commands:
+        rc, out, err = invoke(capsys, *argv)
+        assert (rc, err) == (0, "") and out, argv
+        assert expect is None or out == expect, argv
+
+
 def test_genus_range_usage_errors(capsys):
     rc, _, err = invoke(capsys, "genus-range", "2")
     assert rc == 2 and err

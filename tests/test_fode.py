@@ -190,14 +190,13 @@ def test_heun_third_pole_must_differ_from_0_and_1(a):
             named_equation("Heun", params)
         return
     ode = named_equation("Heun", params)
-    # points sort by real, then imaginary part, each rounded to 9 decimals,
-    # so 1e-10 - 1j comes before 0 and -1e-10 + 1j after it; a sort on the
-    # unrounded parts would list both the other way round
+    # points sort by exact real, then imaginary part, so 1e-10 - 1j comes
+    # after 0, since its real part is larger, and -1e-10 + 1j before it,
+    # however near both real parts are to 0's
     locations = [p.location for p in singular_points(ode)[:-1]]
-    assert locations == sorted([0j, 1 + 0j, complex(a)],
-                               key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    assert locations == {1e-10 - 1j: [a, 0j, 1 + 0j],
-                         -1e-10 + 1j: [0j, a, 1 + 0j]}.get(a, locations)
+    assert locations == sorted([0j, 1 + 0j, complex(a)], key=lambda z: (z.real, z.imag))
+    assert locations == {1e-10 - 1j: [0j, a, 1 + 0j],
+                         -1e-10 + 1j: [a, 0j, 1 + 0j]}.get(a, locations)
     assert all(p.kind is PointKind.REGULAR_SINGULAR for p in singular_points(ode))
 
 
@@ -514,6 +513,15 @@ def test_curve_ode_all_degrees():
         assert is_fuchsian(ode)
     with pytest.raises(ValueError, match=r"degree 9 not in 5\.\.8"):
         curve_ode(curve_from_degree(9))
+
+
+@pytest.mark.parametrize("k1, k2", [
+    (complex("inf"), 0j), (complex(0, math.inf), 0j), (complex("nan"), 0j),
+    (0j, complex("nan")), (0j, complex(-math.inf, 1)), (math.inf, math.nan)])
+def test_curve_ode_refuses_a_non_finite_k1_or_k2(k1, k2):
+    # else p1's numerator 2 - k1 s would print Infinity or NaN in the report
+    with pytest.raises(ValueError, match=r"^k1 = .* and k2 = .* must be finite$"):
+        curve_ode(curve_from_degree(5), k1, k2)
 
 
 @pytest.mark.parametrize("k1", [2e12, 1e13, 1e308 + 1e308j])

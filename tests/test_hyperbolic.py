@@ -40,6 +40,9 @@ def test_known_distances():
     d = distance(ModelPoint.half_plane(1j), ModelPoint.half_plane(2j))
     assert abs(d - math.log(2)) < 1e-12
     assert distance(ModelPoint.disk(0.3j), ModelPoint.disk(0.3j)) == 0.0
+    # 2 sqrt(Im u) sqrt(Im v) is past the float range here; log(1.5) is not
+    d = distance(ModelPoint.half_plane(1e308j), ModelPoint.half_plane(1.5e308j))
+    assert math.isclose(d, math.log(1.5), rel_tol=1e-12)
 
 
 def test_model_mixing_rejected():
@@ -93,6 +96,31 @@ def test_midpoint_equidistant():
     mid = geodesic_midpoint(ModelPoint.half_plane(1j), ModelPoint.half_plane(4j))
     assert mid.model is Model.HALF_PLANE
     assert abs(mid.z - 2j) < 1e-9  # geometric mean of the heights
+
+
+@pytest.mark.parametrize("height", [1e200, 1e-200])
+def test_half_plane_points_far_apart_in_height(height):
+    # log(1e200) apart, and the midpoint at the geometric mean of the heights,
+    # though |u - v|^2 passes the float range at 1e200 and the Cayley image of
+    # the far point rounds onto the unit circle
+    x, y = ModelPoint.half_plane(complex(0, height)), ModelPoint.half_plane(1j)
+    d = math.log(1e200)
+    assert math.isclose(distance(x, y), d, rel_tol=1e-12)
+    assert math.isclose(distance(y, x), d, rel_tol=1e-12)
+    for mid in (geodesic_midpoint(x, y), geodesic_midpoint(y, x)):
+        assert mid.model is Model.HALF_PLANE
+        assert mid.z.real == 0.0
+        assert math.isclose(mid.z.imag, math.sqrt(height), rel_tol=1e-12)
+
+
+def test_half_plane_midpoint_keeps_a_shared_real_part():
+    # a vertical geodesic's midpoint stays on it, however small the heights
+    # are beside a float step of the real part
+    x, y = ModelPoint.half_plane(-85.54064913705668 + 1e-130j), ModelPoint.half_plane(
+        -85.54064913705668 + 1e-127j)
+    mid = geodesic_midpoint(x, y)
+    assert mid.z.real == x.z.real
+    assert math.isclose(distance(x, mid), distance(x, y) / 2, rel_tol=1e-12)
 
 
 def test_half_turn():

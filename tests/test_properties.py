@@ -1,7 +1,7 @@
 """Property tests: canonical JSON, Moebius maps, half-turns, disk isometries,
-geodesic midpoints, genus bounds, polynomial expansion and roots, the
-Whittaker numerator, the catalog's exact pole decisions, singular-point
-classification."""
+geodesic midpoints, half-plane distances and midpoints at every scale, genus
+bounds, polynomial expansion and roots, the Whittaker numerator, the
+catalog's exact pole decisions, singular-point classification."""
 
 import cmath
 import json
@@ -142,6 +142,23 @@ def test_geodesic_midpoint_is_equidistant(x, y):
     assume(x.z != y.z)
     mid = geodesic_midpoint(x, y)
     assert math.isclose(distance(x, mid), distance(mid, y), rel_tol=1e-9, abs_tol=1e-9)
+
+
+# half-plane points at heights 10^e, e in [-150, 150], real parts within 1e3
+HALF_PLANE_POINTS = st.builds(
+    lambda x, e: ModelPoint.half_plane(complex(x, 10.0 ** e)),
+    st.floats(-1e3, 1e3), st.floats(-150.0, 150.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(HALF_PLANE_POINTS, HALF_PLANE_POINTS)
+def test_half_plane_closed_forms_hold_at_every_scale(x, y):
+    d = distance(x, y)
+    assert math.isfinite(d) and d == distance(y, x)
+    assume(x.z != y.z)
+    mid = geodesic_midpoint(x, y)
+    assert math.isclose(distance(x, mid), d / 2, rel_tol=1e-9, abs_tol=1e-9)
+    assert math.isclose(distance(mid, y), d / 2, rel_tol=1e-9, abs_tol=1e-9)
 
 
 @PROPERTY
@@ -367,26 +384,26 @@ def _rational(spec):
 @example(([0.0, 3.0], 1.0, [1e13 + 0j, 1 + 0j]), (None, 1.0, []))  # residue 3, far pole
 @example(([1.0], complex(1.5e308, 1.5e308), [1 + 0j]), (None, 1.0, []))  # overflow
 @example(([complex(1.5e308, 1.5e308), 1.0], 1.0, [1 + 0j, 2 + 0j]), (None, 1.0, []))
-# the order: exact (re, im) where 9-decimal rounding cannot tie two neighbours,
-# else rounded keys from the p1-then-p2 order; neighbours 1e-9, 2e-9, 3e-9 apart
+# the order is exact (re, im) at every distance: neighbours 1e-9, 2e-9, 3e-9 apart
 @example(([1.0], 1.0, [complex(5e-9, 0.0), complex(2e-9, 2.0)]), ([1.0], 1.0, [1j]))
 @example(([1.0], 1.0, [complex(0.1 + 6e-9, 3.0), complex(0.1 + 3e-9, 2.0)]),
          ([1.0], 1.0, [complex(0.1 + 1e-9, 0.0), complex(0.1, 1.0)]))
 @example(([1.0], 1.0, [complex(4.2e-9, 1.0), complex(2.2e-9, 2.0), complex(1.2e-9, 3.0)]),
          ([1.0], 1.0, [complex(0.2e-9, 4.0)]))
-# re 1.1e-9 and 1.3e-9 round alike, so im orders them against the exact order
+# re 1.1e-9 before 1.3e-9, though im runs the other way
 @example(([1.0], 1.0, [complex(1.1e-9, 1.0), complex(1.3e-9, 0.0)]), (None, 1.0, []))
-# equal re, im within 2e-9: 1.5e-9 and 1.6e-9 round apart, 1.6e-9 and 1.9e-9 tie
+# equal re: im decides, neighbours 0.1e-9 to 2e-9 apart
 @example(([1.0], 1.0, [complex(1.0, 1.9e-9), complex(1.0, 1.5e-9)]),
          ([1.0], 1.0, [complex(1.0, 1.6e-9), complex(1.0, -0.5e-9)]))
-# rounded keys equal in both coordinates: p1's point stays first, then p2's
+# re and im both within 1e-9: the smaller re comes first, p2's point here
 @example(([1.0], 1.0, [complex(2e-10, 3e-10)]), ([1.0], 1.0, [complex(1e-10, 1e-10)]))
 @example(([1.0], 1.0, [complex(0.5 + 4e-10, 1.0), complex(0.5 + 1e-10, 1.0)]),
          ([1.0], 1.0, [complex(0.5 - 4e-10, 1.0 + 3e-10), complex(0.5, 1.0)]))
-# -0.0 beside 0.0 in re, then in im
+# -0.0 beside 0.0 in re, then in im: they compare equal, so im decides, and
+# 1 - 0j and 1 + 0j merge into the first seen
 @example(([1.0], 1.0, [complex(0.0, 2.0), complex(-0.0, 1.0), complex(-0.0, 3e-10)]),
          ([1.0], 1.0, [complex(0.0, 1e-10), complex(1.0, -0.0), complex(1.0, 0.0)]))
-# |re| near 1e7, where round(x, 9) is x: neighbours one float step (1.9e-9) apart
+# |re| near 1e7: neighbours one float step (1.9e-9) apart
 @example(([1.0], 1.0, [complex(math.nextafter(1e7, 2e7), 0.0), complex(1e7, 1.0)]),
          ([1.0], 1.0, [complex(-1e7, 2.0), complex(math.nextafter(-1e7, 0.0), -1.0)]))
 def test_classification_agrees_with_the_reference_scan(spec1, spec2):
