@@ -9,6 +9,7 @@ a static SVG figure.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import re
@@ -298,6 +299,10 @@ def _cmd_verify(args) -> int:
 
 
 def main() -> None:
+    # move every object the imports made (numpy's and the package's) to the
+    # permanent generation, so the collections at interpreter shutdown skip
+    # them; run() leaves the collector alone for library and test callers
+    gc.freeze()
     try:
         code = run()
         # flush here so a closed pipe raises inside the try, not at exit

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 from .hyperbolic import Tessellation
@@ -38,7 +39,16 @@ class CurveSpec:
         return tuple(cmath.exp(1j * math.pi * (2 * k + 1) / n) for k in range(n))
 
 
+def _integer(value, name: str) -> int:
+    """value as a Python int: ints and numpy integers pass, 6.0 and 5.5 are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+
+
 def curve_from_degree(n: int, sign: int = -1) -> CurveSpec:
+    n, sign = _integer(n, "degree"), _integer(sign, "sign")
     if n < 5:
         raise ValueError(f"degree {n} < 5")
     if sign not in (-1, 1):
@@ -59,6 +69,7 @@ def integer_roots(n: int) -> list:
 
     Odd n: symmetric about 0.  Even n: one extra on the positive side.
     """
+    n = _integer(n, "degree")
     if n < 5:
         raise ValueError(f"degree {n} < 5")
     lo = -((n - 1) // 2)

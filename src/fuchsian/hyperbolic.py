@@ -60,7 +60,7 @@ def distance(x: ModelPoint, y: ModelPoint) -> float:
     if x.model is Model.DISK:
         q = abs(u - v) / math.sqrt((1.0 - abs(u) ** 2) * (1.0 - abs(v) ** 2))
     else:  # |u - v| / (2 sqrt(Im u Im v)), halved and rooted apart so that nothing overflows
-        q = abs(u - v) / 2.0 / (math.sqrt(u.imag) * math.sqrt(v.imag))
+        q = abs(u / 2.0 - v / 2.0) / (math.sqrt(u.imag) * math.sqrt(v.imag))
     return 2.0 * math.asinh(q)
 
 
@@ -75,11 +75,16 @@ def geodesic_midpoint(x: ModelPoint, y: ModelPoint) -> ModelPoint:
         r = math.sqrt(pu * pv)
         den = 1.0 - abs(u) ** 2 * abs(v) ** 2 + r * math.hypot(r, abs(u - v))
         return ModelPoint.disk((u * pv + v * pu) / den)
-    # (x1 y2 + x2 y1 + i r hypot(2r, |u - v|)) / h, r = sqrt(y1 y2), h = y1 + y2
+    # (x1 y2 + x2 y1 + i r hypot(2r, |u - v|)) / (y1 + y2), r = sqrt(y1 y2), written with
+    # k = sqrt(y_lo / y_hi) in (0, 1] and halved differences: no height is summed or
+    # halved, so heights near the float maximum do not overflow and subnormal ones keep their bits
     lo, hi = (u, v) if u.imag <= v.imag else (v, u)  # x is exact where x1 = x2 or y_lo << y_hi
-    r, h = math.sqrt(u.imag) * math.sqrt(v.imag), u.imag + v.imag
-    re = lo.real + (hi.real - lo.real) * (lo.imag / h)
-    return ModelPoint.half_plane(complex(re, r * math.hypot(2.0 * r, abs(u - v)) / h))
+    root_lo, root_hi = math.sqrt(lo.imag), math.sqrt(hi.imag)
+    k = root_lo / root_hi
+    w = 2.0 / (1.0 + k * k)  # 2 y_hi / (y1 + y2)
+    re = lo.real + (hi.real / 2.0 - lo.real / 2.0) * (k * k * w)
+    im = k * w * math.hypot(root_lo * root_hi, abs(u / 2.0 - v / 2.0))
+    return ModelPoint.half_plane(complex(re, im))
 
 
 def half_turn(p: ModelPoint) -> MoebiusMap:

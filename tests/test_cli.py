@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -237,6 +238,51 @@ def test_closed_stdout_exits_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+# a `fuchsian ARGV...` call through main(), with an exit hook that reports on
+# file descriptor FD whether main froze the heap, leaving stdout and stderr alone
+MAIN_WITH_FREEZE_PROBE = """
+import atexit, gc, os, sys
+fd = int(sys.argv.pop(1))
+atexit.register(lambda: os.write(fd, b"frozen" if gc.get_freeze_count() > 0 else b"none"))
+from fuchsian.cli import main
+main()
+"""
+
+
+def test_main_prints_what_run_prints(capsys):
+    # main freezes the import-time heap to speed up the interpreter's shutdown;
+    # the output and the exit code stay those of run(). Both cold processes run
+    # at once, so the test waits for about one interpreter start.
+    src = pathlib.Path(fuchsian.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    uniformize_8 = ["uniformize", "--degree", "8", "--precision", "17"]  # the largest document
+    verify_6 = ["verify", "--degree", "6"]
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as probe:
+        try:
+            probed = subprocess.Popen(
+                [sys.executable, "-c", MAIN_WITH_FREEZE_PROBE, str(write_fd), *uniformize_8],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                pass_fds=(write_fd,))
+        finally:
+            os.close(write_fd)
+        plain = subprocess.Popen([sys.executable, "-m", "fuchsian.cli", *verify_6],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                 env=env)
+        for proc, argv, code in ((probed, uniformize_8, 0), (plain, verify_6, 1)):
+            out, err = proc.communicate(timeout=60)
+            assert (proc.returncode, out, err) == invoke(capsys, *argv)
+            assert proc.returncode == code
+        assert probe.read() == b"frozen"
+
+
+def test_run_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    rc, out, _ = invoke(capsys, "genus-range", "2", "8")
+    assert (rc, out) == (0, "g_min=0 g_max=3\n")
+    assert gc.get_freeze_count() == frozen
 
 
 def test_params_near_the_float_range_classify_without_root_finding(capsys):

@@ -14,6 +14,8 @@ from fuchsian.curves import (
     tessellation_for_curve,
 )
 from fuchsian.fode import named_equation, whittaker_equation
+from fuchsian.report import canonical_json, uniformization_report
+from fuchsian.uniformize import uniformize
 
 # integer-root expansions, coefficients lowest first
 EXPANSIONS = {
@@ -36,6 +38,21 @@ def test_degree_and_sign_validation():
         curve_from_degree(4)
     with pytest.raises(ValueError):
         curve_from_degree(5, 2)
+
+
+@pytest.mark.parametrize("n, sign", [(5.5, -1), (6.0, -1), (np.float64(6), 1), (5, -1.0)])
+def test_degree_and_sign_must_be_integers(n, sign):
+    # a float degree would give a float genus, which Fraction refuses in uniformize
+    with pytest.raises(ValueError, match="is not an integer"):
+        curve_from_degree(n, sign)
+
+
+def test_numpy_integer_degree_gives_python_ints_that_serialize():
+    c = curve_from_degree(np.int64(6), np.int32(1))
+    assert c == curve_from_degree(6, 1)
+    assert type(c.degree) is int and type(c.sign) is int
+    text = canonical_json(uniformization_report(c, uniformize(c)))
+    assert '"degree": 6,' in text and '"sign": 1' in text
 
 
 def test_singularities_are_roots():
@@ -72,6 +89,9 @@ def test_integer_roots():
     assert integer_roots(6) == [-2, -1, 0, 1, 2, 3]
     assert integer_roots(7) == [-3, -2, -1, 0, 1, 2, 3]
     assert integer_roots(8) == [-3, -2, -1, 0, 1, 2, 3, 4]
+    assert integer_roots(np.int64(5)) == [-2, -1, 0, 1, 2]
+    with pytest.raises(ValueError, match="degree 5.5 is not an integer"):
+        integer_roots(5.5)
 
 
 def test_expansions_exact():

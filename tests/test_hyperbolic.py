@@ -123,6 +123,31 @@ def test_half_plane_midpoint_keeps_a_shared_real_part():
     assert math.isclose(distance(x, mid), distance(x, y) / 2, rel_tol=1e-12)
 
 
+def test_half_plane_points_at_the_top_of_the_float_range():
+    # y1 + y2, 2 sqrt(y1 y2) and x1 - x2 pass the float range here, while the
+    # distance and both midpoints are finite
+    x, y = ModelPoint.half_plane(1e308j), ModelPoint.half_plane(1.5e308j)
+    mid = geodesic_midpoint(x, y)
+    assert mid.z.real == 0.0
+    assert math.isclose(mid.z.imag, math.sqrt(1.5) * 1e308, rel_tol=1e-12)
+    x, y = ModelPoint.half_plane(1e308 + 1j), ModelPoint.half_plane(-1e308 + 1j)
+    assert math.isclose(distance(x, y), 2 * math.asinh(1e308), rel_tol=1e-12)
+    mid = geodesic_midpoint(x, y)
+    assert mid.z.real == 0.0
+    assert math.isclose(mid.z.imag, 1e308, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("height, gap", [(5e-324, 1.0), (1.5e-323, 1.0), (1e-320, 1e-300)])
+def test_half_plane_midpoint_at_subnormal_heights(height, gap):
+    # two points at one subnormal height, gap apart: the geodesic is a half-circle
+    # of radius about gap/2, so the midpoint is about (1 + i) gap/2; halving such
+    # a height loses its bits, and r hypot(2r, gap) underflows
+    x, y = ModelPoint.half_plane(complex(0, height)), ModelPoint.half_plane(complex(gap, height))
+    mid = geodesic_midpoint(x, y)
+    assert math.isclose(mid.z.real, gap / 2, rel_tol=1e-12)
+    assert math.isclose(mid.z.imag, gap / 2, rel_tol=1e-12)
+
+
 def test_half_turn():
     m = half_turn(ModelPoint.disk(0))
     assert abs(apply(m, 0.3j) + 0.3j) < 1e-12  # z -> -z at the origin
