@@ -270,6 +270,8 @@ def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderOD
     n = c.degree
     if not 5 <= n <= 8:
         raise ValueError(f"degree {n} not in 5..8")
+    if c.sign != -1:  # the catalog has no equation for z^n + 1
+        raise ValueError(f"sign {c.sign:+d}: the catalog covers y^2 = z^n - 1 only")
     s = -1.0 if n % 2 else 1.0
     k1, k2 = complex(k1), complex(k2)
     if not (cmath.isfinite(k1) and cmath.isfinite(k2)):  # each part, not the modulus

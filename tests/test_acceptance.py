@@ -22,7 +22,6 @@ from fuchsian.fode import (
     whittaker_equation,
 )
 from fuchsian.hyperbolic import (
-    ModelPoint,
     Tessellation,
     half_turn,
     regular_polygon_area,
@@ -194,7 +193,7 @@ def test_criterion_09(acceptance):
                         max(abs((p.thetas[i + 1] - p.thetas[i]) - spacing)
                             for i in range(n - 1)))
         for s, fp in zip(res.side_transforms, res.fixed_points):
-            h = half_turn(ModelPoint.disk(fp))
+            h = half_turn(fp)
             worst_halfturn = max(worst_halfturn,
                                  projective_distance(normalize(h),
                                                      normalize(s)))

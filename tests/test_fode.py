@@ -513,6 +513,9 @@ def test_curve_ode_all_degrees():
         assert is_fuchsian(ode)
     with pytest.raises(ValueError, match=r"degree 9 not in 5\.\.8"):
         curve_ode(curve_from_degree(9))
+    for n in (5, 6, 7, 8):  # y^2 = z^n + 1 would get the equation of z^n - 1
+        with pytest.raises(ValueError, match=r"^sign \+1: the catalog covers y\^2 = z\^n - 1"):
+            curve_ode(curve_from_degree(n, 1))
 
 
 @pytest.mark.parametrize("k1, k2", [

@@ -63,8 +63,8 @@ MODULE_ONLY = [
     ("embed", "GenusRange"),
     *(("fode", n) for n in ("PointKind", "SecondOrderODE")),
     *(("hyperbolic", n) for n in (
-        "Model", "ModelPoint", "SurfaceTopology", "Tessellation", "distance",
-        "geodesic_midpoint", "half_turn", "regular_polygon_area")),
+        "SurfaceTopology", "Tessellation", "distance", "half_turn",
+        "regular_polygon_area")),
     *(("moebius", n) for n in (
         "INFINITY", "MoebiusMap", "TransformClass", "classify", "compose",
         "evaluate_word", "fixed_points", "normalize", "projective_distance",
@@ -117,6 +117,10 @@ DELETED = [
     ("hyperbolic", "CoincidentPoints"),
     ("hyperbolic", "NonIntegerVertexCycle"),
     ("hyperbolic", "OddSides"),
+    # the paper draws in the disk alone: distance and half_turn take complex points
+    ("hyperbolic", "Model"),
+    ("hyperbolic", "ModelPoint"),
+    ("hyperbolic", "geodesic_midpoint"),
     ("cli", "_UsageError"),
     # every pole is known exactly, so nothing needs a denominator's roots found
     ("fode", "rational_fn"),

@@ -1,6 +1,5 @@
 """Property tests: canonical JSON, Moebius maps, half-turns, disk isometries,
-geodesic midpoints, half-plane distances and midpoints at every scale, genus
-bounds, polynomial expansion and roots, the Whittaker numerator, the
+genus bounds, polynomial expansion and roots, the Whittaker numerator, the
 catalog's exact pole decisions, singular-point classification."""
 
 import cmath
@@ -19,7 +18,7 @@ from fuchsian.embed import genus_range
 from fuchsian.fode import (
     ZERO_RATIONAL, PointKind, RationalFn, SecondOrderODE, _infinity_pole_orders,
     is_fuchsian, named_equation, singular_points, whittaker_equation)
-from fuchsian.hyperbolic import ModelPoint, distance, geodesic_midpoint, half_turn
+from fuchsian.hyperbolic import distance, half_turn
 from fuchsian.moebius import (
     INFINITY, MoebiusMap, apply, compose, is_infinity, is_projectively_identity)
 from fuchsian.report import canonical_json
@@ -51,9 +50,7 @@ SCALARS = st.builds(cmath.rect, st.floats(0.5, 2.0), ANGLES)
 
 # points of the disk within hyperbolic distance 2 atanh(0.99), about 5.3,
 # of the origin; the paper's fixed points sit at radius 0.3 to 0.6
-DISK_POINTS = st.builds(
-    lambda r, t: ModelPoint.disk(cmath.rect(r, t)),
-    st.floats(0.0, 0.99), st.floats(0.0, 2.0 * math.pi))
+DISK_POINTS = st.builds(cmath.rect, st.floats(0.0, 0.99), st.floats(0.0, 2.0 * math.pi))
 
 
 @PROPERTY
@@ -74,7 +71,7 @@ def test_canonical_json_prints_every_float_as_the_oracle(x, precision):
 def test_half_turn_is_an_involutive_isometry(p, x, y):
     m = half_turn(p)
     assert is_projectively_identity(compose(m, m))
-    hx, hy = (ModelPoint.disk(apply(m, w.z)) for w in (x, y))
+    hx, hy = apply(m, x), apply(m, y)
     assert math.isclose(distance(hx, hy), distance(x, y), rel_tol=1e-9, abs_tol=1e-9)
 
 
@@ -132,33 +129,8 @@ def test_inverse_and_apply_round_trip_on_the_sphere(m, z):
 @given(DISK_ISOMETRIES, DISK_POINTS, DISK_POINTS)
 def test_distance_is_invariant_under_disk_isometries(m, x, y):
     assert m.is_disk_isometry()
-    mx, my = (ModelPoint.disk(apply(m, w.z)) for w in (x, y))
+    mx, my = apply(m, x), apply(m, y)
     assert math.isclose(distance(mx, my), distance(x, y), rel_tol=1e-9, abs_tol=1e-9)
-
-
-@PROPERTY
-@given(DISK_POINTS, DISK_POINTS)
-def test_geodesic_midpoint_is_equidistant(x, y):
-    assume(x.z != y.z)
-    mid = geodesic_midpoint(x, y)
-    assert math.isclose(distance(x, mid), distance(mid, y), rel_tol=1e-9, abs_tol=1e-9)
-
-
-# half-plane points at heights 10^e, e in [-150, 150], real parts within 1e3
-HALF_PLANE_POINTS = st.builds(
-    lambda x, e: ModelPoint.half_plane(complex(x, 10.0 ** e)),
-    st.floats(-1e3, 1e3), st.floats(-150.0, 150.0))
-
-
-@settings(max_examples=100, deadline=None)
-@given(HALF_PLANE_POINTS, HALF_PLANE_POINTS)
-def test_half_plane_closed_forms_hold_at_every_scale(x, y):
-    d = distance(x, y)
-    assert math.isfinite(d) and d == distance(y, x)
-    assume(x.z != y.z)
-    mid = geodesic_midpoint(x, y)
-    assert math.isclose(distance(x, mid), d / 2, rel_tol=1e-9, abs_tol=1e-9)
-    assert math.isclose(distance(mid, y), d / 2, rel_tol=1e-9, abs_tol=1e-9)
 
 
 @PROPERTY

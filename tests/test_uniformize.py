@@ -14,7 +14,7 @@ from fuchsian.moebius import (
     normalize,
     projective_distance,
 )
-from fuchsian.hyperbolic import ModelPoint, half_turn
+from fuchsian.hyperbolic import half_turn
 from fuchsian.uniformize import (
     PRESENTATION_WORDS,
     GenusTooSmall,
@@ -118,7 +118,7 @@ def test_fixed_points_of_sides(result):
 
 def test_half_turn_recovers_sides(result):
     for s, fp in zip(result.side_transforms, result.fixed_points):
-        h = half_turn(ModelPoint.disk(fp))
+        h = half_turn(fp)
         assert projective_distance(normalize(h), normalize(s)) < 1e-7
 
 
