@@ -14,7 +14,6 @@ import math
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import curves, embed, fode, hyperbolic
 from .moebius import IndexOutOfRange
@@ -148,19 +147,11 @@ def _fmt_complex(z: complex, precision: int) -> str:
     return f"{re:.{precision}g}{im:+.{precision}g}i"
 
 
-def _uniformizable_curve(degree: int, sign: int = -1) -> curves.CurveSpec:
-    """The curve of this degree, refused unless alpha = (g-1)/n < 1/3.
-
-    2 cos(pi alpha) - 1 > 0 exactly when 3(g-1) < n.  At alpha = 1/3
-    (degrees 9 and 12) the float in `mursi_parameters` rounds to 1.1e-16
-    and passes its guard, so the domain is decided here in exact arithmetic.
-    """
+def _paper_curve(degree: int, sign: int = -1) -> curves.CurveSpec:
+    """The curve of this degree, refused outside the paper's degrees 5..8."""
     curve = curves.curve_from_degree(degree, sign)
-    alpha = Fraction(curve.genus - 1, curve.degree)
-    if curve.genus >= 2 and alpha >= Fraction(1, 3):
-        raise ValueError(
-            f"alpha = {alpha} is not below 1/3, so 2 cos(pi alpha) - 1 <= 0; "
-            "the side transformations would not be real")
+    if curve.degree > 8:
+        raise ValueError(f"degree {curve.degree} not in 5..8")
     return curve
 
 
@@ -174,7 +165,7 @@ def _cmd_uniformize(args) -> int:
         if given:
             raise ValueError(f"--format svg takes no {', '.join(given)}")
     sign = -1 if args.sign == "minus" else 1
-    curve = _uniformizable_curve(args.degree, sign)
+    curve = _paper_curve(args.degree, sign)
     base = 1 if args.base is None else args.base
     precision = DEFAULT_PRECISION if args.precision is None else args.precision
     result = uniformize(curve, normalize_output=args.normalize, base=base)
@@ -265,7 +256,7 @@ def _cmd_tessellation(args) -> int:
 
 
 def _cmd_ode_build(args) -> int:
-    ode = fode.curve_ode(curves.curve_from_degree(args.degree), args.k1, args.k2)
+    ode = fode.curve_ode(_paper_curve(args.degree), args.k1, args.k2)
     poly = curves.expand_poly(curves.integer_roots(args.degree))
     doc = ode_report(ode, degree=args.degree, curve_polynomial=list(poly.coeffs),
                      k1=args.k1, k2=args.k2)
@@ -281,7 +272,7 @@ def _cmd_ode_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    result = uniformize(_uniformizable_curve(args.degree))
+    result = uniformize(_paper_curve(args.degree))
     checks = verification_checks(result)
     for name, ok, detail in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")

@@ -69,9 +69,7 @@ def integer_roots(n: int) -> list:
 
     Odd n: symmetric about 0.  Even n: one extra on the positive side.
     """
-    n = _integer(n, "degree")
-    if n < 5:
-        raise ValueError(f"degree {n} < 5")
+    n = curve_from_degree(n).degree
     lo = -((n - 1) // 2)
     return list(range(lo, lo + n))
 

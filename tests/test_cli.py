@@ -132,7 +132,7 @@ def test_uniformize_svg_format(capsys):
 
 
 @pytest.mark.parametrize("sign", ["minus", "plus"])
-@pytest.mark.parametrize("n", [5, 6, 7, 8, 10])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_uniformize_svg_sides_join_consecutive_vertices(capsys, n, sign):
     # each side of the regular ideal n-gon is the geodesic between neighbouring
     # vertices: an arc of radius tan(pi/n) in disk units (240/1.15 pixels each),
@@ -193,10 +193,11 @@ def test_uniformize_rejects_base_out_of_range(capsys, base):
 
 
 @pytest.mark.parametrize("command", ["uniformize", "verify"])
-def test_degree_with_alpha_one_third_is_a_usage_error(capsys, command):
-    rc, out, err = invoke(capsys, command, "--degree", "9")
-    assert rc == 2 and out == ""
-    assert err.startswith("error: alpha = 1/3") and err.count("\n") == 1
+def test_degree_past_the_papers_range_is_a_usage_error(capsys, command):
+    # degree 9 is the first with alpha = (g-1)/n = 1/3, where the float in
+    # mursi_parameters would still pass; the paper's range stops at 8
+    assert invoke(capsys, command, "--degree", "9") == (
+        2, "", "error: degree 9 not in 5..8\n")
 
 
 @pytest.mark.parametrize("option,value", [
@@ -339,6 +340,10 @@ def test_heun_pole_a_past_the_float_range_is_kept_when_p1_has_no_term_in_it(caps
 @pytest.mark.parametrize("argv, message", [
     (["ode", "build", "--degree", "4"], "degree 4 < 5"),
     (["ode", "build", "--degree", "9"], "degree 9 not in 5..8"),
+    (["uniformize", "--degree", "10"], "degree 10 not in 5..8"),
+    (["uniformize", "--degree", "10", "--format", "svg"], "degree 10 not in 5..8"),
+    (["verify", "--degree", "9"], "degree 9 not in 5..8"),
+    (["verify", "--degree", "10"], "degree 10 not in 5..8"),
     (["tessellation", "--degree", "4"], "degree 4 < 5"),
     (["genus-range", "1", "5"], "need m, n >= 2, got 1, 5"),
     (["ode", "classify", "--named", "Foo"], "no equation named 'Foo'"),
@@ -346,7 +351,8 @@ def test_heun_pole_a_past_the_float_range_is_kept_when_p1_has_no_term_in_it(caps
      "Heun takes 7 parameter(s), got 1"),
     (["ode", "classify", "--named", "Heun", "--params", "1", "2", "3", "4", "5", "0", "1"],
      "Heun pole a = 0j coincides with 0 or 1"),
-], ids=["build-4", "build-9", "tessellation-4", "genus-range", "unknown-name",
+], ids=["build-4", "build-9", "uniformize-10", "uniformize-10-svg", "verify-9",
+        "verify-10", "tessellation-4", "genus-range", "unknown-name",
         "param-count", "heun-a-0"])
 def test_domain_error_prints_its_message_on_one_line(capsys, argv, message):
     assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -665,7 +671,7 @@ def test_verify_degree8_warns_but_passes(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("degree", [5, 6, 7, 8, 10])
+@pytest.mark.parametrize("degree", [5, 6, 7, 8])
 def test_verify_renders_the_report_checks(capsys, degree):
     rc, out, _ = invoke(capsys, "verify", "--degree", str(degree))
     checks = verification_checks(uniformize(curve_from_degree(degree)))
@@ -680,6 +686,18 @@ def test_verify_renders_the_report_checks(capsys, degree):
 def test_verify_bad_degree(capsys):
     rc, _, err = invoke(capsys, "verify", "--degree", "3")
     assert rc == 2
+
+
+def test_every_degree_verify_accepts_checks_a_relation(capsys):
+    # a degree with no presentation words would print only ok lines and exit
+    # 0 with no relation behind it; verify must refuse such a degree instead
+    accepted = []
+    for degree in range(4, 13):
+        rc, out, _ = invoke(capsys, "verify", "--degree", str(degree))
+        if rc != 2:
+            accepted.append(degree)
+            assert any(line[5:].startswith("relation ") for line in out.splitlines()), degree
+    assert accepted == [5, 6, 7, 8]
 
 
 def test_cli_raw_output_matches_golden_tables_where_consistent(capsys):
