@@ -147,14 +147,6 @@ def _fmt_complex(z: complex, precision: int) -> str:
     return f"{re:.{precision}g}{im:+.{precision}g}i"
 
 
-def _paper_curve(degree: int, sign: int = -1) -> curves.CurveSpec:
-    """The curve of this degree, refused outside the paper's degrees 5..8."""
-    curve = curves.curve_from_degree(degree, sign)
-    if curve.degree > 8:
-        raise ValueError(f"degree {curve.degree} not in 5..8")
-    return curve
-
-
 def _cmd_uniformize(args) -> int:
     if args.format == "svg":
         # the figure draws neither generators nor numbers, so these would be lost
@@ -165,7 +157,7 @@ def _cmd_uniformize(args) -> int:
         if given:
             raise ValueError(f"--format svg takes no {', '.join(given)}")
     sign = -1 if args.sign == "minus" else 1
-    curve = _paper_curve(args.degree, sign)
+    curve = curves.paper_curve(args.degree, sign)
     base = 1 if args.base is None else args.base
     precision = DEFAULT_PRECISION if args.precision is None else args.precision
     result = uniformize(curve, normalize_output=args.normalize, base=base)
@@ -256,7 +248,7 @@ def _cmd_tessellation(args) -> int:
 
 
 def _cmd_ode_build(args) -> int:
-    ode = fode.curve_ode(_paper_curve(args.degree), args.k1, args.k2)
+    ode = fode.curve_ode(curves.paper_curve(args.degree), args.k1, args.k2)
     poly = curves.expand_poly(curves.integer_roots(args.degree))
     doc = ode_report(ode, degree=args.degree, curve_polynomial=list(poly.coeffs),
                      k1=args.k1, k2=args.k2)
@@ -272,7 +264,7 @@ def _cmd_ode_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    result = uniformize(_paper_curve(args.degree))
+    result = uniformize(curves.paper_curve(args.degree))
     checks = verification_checks(result)
     for name, ok, detail in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")

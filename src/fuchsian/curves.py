@@ -56,6 +56,14 @@ def curve_from_degree(n: int, sign: int = -1) -> CurveSpec:
     return CurveSpec(n, sign)
 
 
+def paper_curve(n: int, sign: int = -1) -> CurveSpec:
+    """The curve of this degree, refused outside the paper's degrees 5..8."""
+    curve = curve_from_degree(n, sign)
+    if curve.degree > 8:
+        raise ValueError(f"degree {curve.degree} not in 5..8")
+    return curve
+
+
 def tessellation_for_curve(c: CurveSpec) -> Tessellation:
     """{4g,4g} for odd degree, {4g+2, 2g+1} for even degree."""
     g = c.genus
@@ -65,11 +73,11 @@ def tessellation_for_curve(c: CurveSpec) -> Tessellation:
 
 
 def integer_roots(n: int) -> list:
-    """n consecutive integers standing in for the n roots of unity.
+    """n consecutive integers standing in for the n roots of unity, n in 5..8.
 
     Odd n: symmetric about 0.  Even n: one extra on the positive side.
     """
-    n = curve_from_degree(n).degree
+    n = paper_curve(n).degree
     lo = -((n - 1) // 2)
     return list(range(lo, lo + n))
 

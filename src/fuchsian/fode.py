@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 
-from .curves import CurveSpec, Poly, _product, expand_poly
+from .curves import CurveSpec, Poly, _product, expand_poly, paper_curve
 from .moebius import INFINITY
 
 # distinctness check on user polynomials, relative to the larger root of each
@@ -267,9 +267,7 @@ def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderOD
     carry the expanded curve polynomial as an overall factor, which cancels;
     expand_poly(integer_roots(n)) reproduces it.)
     """
-    n = c.degree
-    if not 5 <= n <= 8:
-        raise ValueError(f"degree {n} not in 5..8")
+    n = paper_curve(c.degree).degree
     if c.sign != -1:  # the catalog has no equation for z^n + 1
         raise ValueError(f"sign {c.sign:+d}: the catalog covers y^2 = z^n - 1 only")
     s = -1.0 if n % 2 else 1.0

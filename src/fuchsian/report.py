@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .curves import CurveSpec
+from .curves import CurveSpec, paper_curve
 from .fode import SecondOrderODE, is_fuchsian, singular_points
 from .hyperbolic import (
     NotHyperbolic,
@@ -190,6 +190,7 @@ def verification_checks(result: UniformizationResult) -> list:
     curve's, and every non-identity generator must be hyperbolic.
     """
     p = result.params
+    paper_curve(p.degree)  # refused above 8, where no relation is checked
     rep = result.verification
     rho = fixed_point_radius(p)
     spread = max(abs(abs(z) - rho) for z in result.fixed_points)

@@ -11,10 +11,11 @@ from fuchsian.curves import (
     curve_from_degree,
     expand_poly,
     integer_roots,
+    paper_curve,
     tessellation_for_curve,
 )
-from fuchsian.fode import named_equation, whittaker_equation
-from fuchsian.report import canonical_json, uniformization_report
+from fuchsian.fode import curve_ode, named_equation, whittaker_equation
+from fuchsian.report import canonical_json, uniformization_report, verification_checks
 from fuchsian.uniformize import uniformize
 
 # integer-root expansions, coefficients lowest first
@@ -38,6 +39,23 @@ def test_degree_and_sign_validation():
         curve_from_degree(4)
     with pytest.raises(ValueError):
         curve_from_degree(5, 2)
+
+
+# each consumer whose answer is defined only for the paper's degrees asks
+# paper_curve; the library uniformize() itself still accepts 9, 10 and 12
+PAPER_ONLY = {
+    "paper_curve": paper_curve,
+    "curve_ode": lambda n: curve_ode(curve_from_degree(n)),
+    "integer_roots": integer_roots,
+    "verification_checks": lambda n: verification_checks(uniformize(curve_from_degree(n))),
+}
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+@pytest.mark.parametrize("consumer", PAPER_ONLY)
+def test_consumers_refuse_degrees_above_8(consumer, n):
+    with pytest.raises(ValueError, match=rf"^degree {n} not in 5\.\.8$"):
+        PAPER_ONLY[consumer](n)
 
 
 @pytest.mark.parametrize("n, sign", [(5.5, -1), (6.0, -1), (np.float64(6), 1), (5, -1.0)])

@@ -59,7 +59,7 @@ def test_package_exports_the_module_objects_of_the_entry_points():
 
 # public names that each have one import path, their defining module
 MODULE_ONLY = [
-    *(("curves", n) for n in ("CurveSpec", "integer_roots", "Poly")),
+    *(("curves", n) for n in ("CurveSpec", "integer_roots", "paper_curve", "Poly")),
     ("embed", "GenusRange"),
     *(("fode", n) for n in ("PointKind", "SecondOrderODE")),
     *(("hyperbolic", n) for n in (

@@ -10,6 +10,8 @@ read off RationalFn's factored form: num over den_lead times the den_roots.
 
 import cmath
 import math
+import random
+from functools import partial
 
 import pytest
 
@@ -69,6 +71,31 @@ def _z_n_minus_1(n):
     return Poly((-1.0, *(0.0,) * (n - 1), 1.0))
 
 
+def _seeded(kind, seed):
+    """One equation of the `ode_batch` benchmark's Fuchsian mix, drawn from a
+    fixed seed: catalog entries with random complex parameters, and
+    Whittaker's equation of n roots at least 0.5 apart, scaled."""
+    rng = random.Random(f"{kind}:{seed}")
+
+    def c():
+        return cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi))
+
+    if kind == "Heun":  # a at distance 1.5 or more from both 0 and 1
+        a = 0.5 + cmath.rect(2.0, rng.uniform(0.0, 2.0 * math.pi))
+        return named_equation(kind, [c(), c(), c(), c(), c(), a, c()])
+    if kind in ("Legendre", "Tchebychev", "Hypergeometric"):
+        return named_equation(kind, [c() for _ in range(3 if kind == "Hypergeometric" else 1)])
+    n, roots = int(kind.removeprefix("whittaker-")), []
+    while len(roots) < n:
+        z = cmath.rect(2.0 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi))
+        if all(abs(z - r) >= 0.5 for r in roots):
+            roots.append(z)
+    return whittaker_equation(expand_poly(roots).scaled(c()))
+
+
+SEEDED_KINDS = ("Legendre", "Tchebychev", "Heun", "Hypergeometric",
+                *(f"whittaker-{n}" for n in range(5, 11)))
+
 EQUATIONS = {
     **{f"whittaker-z^{n}-1": (lambda n=n: whittaker_equation(_z_n_minus_1(n)))
        for n in range(5, 9)},
@@ -82,6 +109,8 @@ EQUATIONS = {
     "heun": lambda: named_equation("Heun", [1, 2, 0.5, 1.5, 2, 3, 0.25]),
     "legendre": lambda: named_equation("Legendre", [2]),
     "tchebychev": lambda: named_equation("Tchebychev", [2]),
+    **{f"{kind}-seed{seed}": partial(_seeded, kind, seed)
+       for kind in SEEDED_KINDS for seed in range(5)},
 }
 
 
