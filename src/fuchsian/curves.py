@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 
-from .hyperbolic import Tessellation
+from .hyperbolic import Tessellation, _integer
 
 
 @dataclass(frozen=True)
@@ -37,14 +36,6 @@ class CurveSpec:
         if self.sign == -1:
             return tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
         return tuple(cmath.exp(1j * math.pi * (2 * k + 1) / n) for k in range(n))
-
-
-def _integer(value, name: str) -> int:
-    """value as a Python int: ints and numpy integers pass, 6.0 and 5.5 are refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} {value!r} is not an integer") from None
 
 
 def curve_from_degree(n: int, sign: int = -1) -> CurveSpec:

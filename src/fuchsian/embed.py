@@ -6,8 +6,9 @@ integer arithmetic.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
+
+from .hyperbolic import _integer
 
 
 @dataclass(frozen=True)
@@ -18,10 +19,7 @@ class GenusRange:
 
 def genus_range(m: int, n: int) -> GenusRange:
     """Smallest and largest genus of an orientable surface 2-cell embedding K_{m,n}."""
-    try:  # an int or numpy integer: 8.0 and 2.5 are refused
-        m, n = operator.index(m), operator.index(n)
-    except TypeError:
-        raise ValueError(f"K_{{{m!r},{n!r}}}: m and n must be integers") from None
+    m, n = _integer(m, "m"), _integer(n, "n")
     if m < 2 or n < 2:
         raise ValueError(f"need m, n >= 2, got {m}, {n}")
     # ceiling as minus the floor of the negation

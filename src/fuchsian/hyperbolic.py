@@ -28,6 +28,14 @@ def _disk_point(z) -> complex:
     return z
 
 
+def _integer(value, name: str) -> int:
+    """value as a Python int: ints and numpy integers pass, 6.0 and 5.5 are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+
+
 def distance(u, v) -> float:
     """Hyperbolic distance 2 asinh(q) between two disk points,
     q = |u - v| / sqrt((1 - |u|^2)(1 - |v|^2))."""
@@ -54,11 +62,8 @@ class Tessellation:
     q: int
 
     def __post_init__(self):
-        try:  # an int or numpy integer: 8.0 and 8.5 are refused
-            object.__setattr__(self, "p", operator.index(self.p))
-            object.__setattr__(self, "q", operator.index(self.q))
-        except TypeError:
-            raise ValueError(f"{{{self.p!r},{self.q!r}}}: both entries must be integers") from None
+        object.__setattr__(self, "p", _integer(self.p, "p"))
+        object.__setattr__(self, "q", _integer(self.q, "q"))
         if self.p < 3 or self.q < 3:
             raise ValueError(f"{{{self.p},{self.q}}}: both entries must be >= 3")
 

@@ -58,13 +58,6 @@ def test_consumers_refuse_degrees_above_8(consumer, n):
         PAPER_ONLY[consumer](n)
 
 
-@pytest.mark.parametrize("n, sign", [(5.5, -1), (6.0, -1), (np.float64(6), 1), (5, -1.0)])
-def test_degree_and_sign_must_be_integers(n, sign):
-    # a float degree would give a float genus, which Fraction refuses in uniformize
-    with pytest.raises(ValueError, match="is not an integer"):
-        curve_from_degree(n, sign)
-
-
 def test_numpy_integer_degree_gives_python_ints_that_serialize():
     c = curve_from_degree(np.int64(6), np.int32(1))
     assert c == curve_from_degree(6, 1)

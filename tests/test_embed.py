@@ -36,13 +36,6 @@ def test_bad_dimensions():
         genus_range(2, 0)
 
 
-@pytest.mark.parametrize("m, n", [(2, 8.0), (2.5, 8), (np.float64(2), 8)])
-def test_sizes_must_be_integers(m, n):
-    # float sizes would give float bounds, such as g_min = -0.0 for (2, 8.0)
-    with pytest.raises(ValueError, match="m and n must be integers"):
-        genus_range(m, n)
-
-
 def test_numpy_integer_sizes_give_python_ints():
     r = genus_range(np.int64(2), np.int32(8))
     assert r == GenusRange(0, 3)

@@ -14,10 +14,10 @@ sp = pytest.importorskip("sympy")
 
 from fuchsian import curves
 from fuchsian.curves import expand_poly
-from fuchsian.fode import PointKind, named_equation, singular_points, whittaker_equation
+from fuchsian.fode import named_equation, singular_points, whittaker_equation
 from fuchsian.moebius import is_infinity
 
-from helpers import reference_pole_order
+from helpers import reference_kind, reference_pole_order
 
 # rational functions over QQ: arithmetic cancels common factors exactly
 _, Z = sp.field("z", sp.QQ)
@@ -37,14 +37,6 @@ def _poles(f):
     return poles
 
 
-def _kind(o1, o2):
-    if o1 == 0 and o2 == 0:
-        return PointKind.ORDINARY
-    if o1 <= 1 and o2 <= 2:
-        return PointKind.REGULAR_SINGULAR
-    return PointKind.IRREGULAR_SINGULAR
-
-
 def oracle_points(p1, p2):
     """{finite pole: (order in p1, order in p2)} and the kind at infinity,
     where P1 = 2/w - p1(1/w)/w^2 and P2 = p2(1/w)/w^4 at w = 0.  p1 and p2
@@ -53,7 +45,7 @@ def oracle_points(p1, p2):
     finite = {s: (poles1.get(s, 0), poles2.get(s, 0)) for s in {*poles1, *poles2}}
     at_inf = (_poles(2 / W - p1(1 / W) / W**2).get(0, 0),
               _poles(p2(1 / W) / W**4).get(0, 0))
-    return finite, _kind(*at_inf)
+    return finite, reference_kind(*at_inf)
 
 
 def named_exact(name, params):
@@ -89,7 +81,7 @@ def assert_agrees(ode, p1, p2):
         o1, o2 = finite[s]
         assert (reference_pole_order(ode.p1, pc.location),
                 reference_pole_order(ode.p2, pc.location)) == (o1, o2)
-        assert pc.kind is _kind(o1, o2)
+        assert pc.kind is reference_kind(o1, o2)
 
 
 NAMED_CASES = [

@@ -1,9 +1,12 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
+from fuchsian.curves import curve_from_degree
+from fuchsian.embed import genus_range
 from fuchsian.hyperbolic import (
     NotHyperbolic,
     Tessellation,
@@ -94,10 +97,33 @@ def test_tessellation_validity():
         Tessellation(2, 7)
 
 
-@pytest.mark.parametrize("p, q", [(8.5, 8), (3.5, 7), (8.0, 8), (8, np.float64(8))])
-def test_tessellation_refuses_non_integers(p, q):
-    with pytest.raises(ValueError, match="both entries must be integers"):
-        Tessellation(p, q)
+ARG_NAMES = {curve_from_degree: ("degree", "sign"), Tessellation: ("p", "q"),
+             genus_range: ("m", "n")}
+# (entry point, arguments, the argument refused); a float degree would give a
+# float genus, which Fraction refuses in uniformize, and float sizes float
+# bounds, such as g_min = -0.0 for K_{2,8.0}
+NON_INTEGERS = [
+    (curve_from_degree, (5.5, -1), "degree"),
+    (curve_from_degree, (6.0, -1), "degree"),
+    (curve_from_degree, (np.float64(6), 1), "degree"),
+    (curve_from_degree, (5, -1.0), "sign"),
+    (Tessellation, (8.5, 8), "p"),
+    (Tessellation, (3.5, 7), "p"),
+    (Tessellation, (8.0, 8), "p"),
+    (Tessellation, (8, np.float64(8)), "q"),
+    (genus_range, (2, 8.0), "n"),
+    (genus_range, (2.5, 8), "m"),
+    (genus_range, (np.float64(2), 8), "m"),
+]
+
+
+@pytest.mark.parametrize("entry, args, name", NON_INTEGERS, ids=[
+    "-".join(map(str, (entry.__name__, *args))) for entry, args, _ in NON_INTEGERS])
+def test_entry_points_refuse_non_integers(entry, args, name):
+    # all three read their integers through hyperbolic._integer
+    value = args[ARG_NAMES[entry].index(name)]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {value!r}')} is not an integer$"):
+        entry(*args)
 
 
 def test_tessellation_stores_python_ints():

@@ -2,7 +2,7 @@ import ast
 import builtins
 import dataclasses
 import importlib
-import os
+import json
 import pathlib
 import subprocess
 import sys
@@ -84,13 +84,26 @@ def test_name_is_imported_from_its_module_only(module, name):
 
 
 def test_import_loads_every_module_but_the_cli():
-    # bench's tracer wraps only the modules loaded when it is installed
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = ("import sys, fuchsian; "
+    # bench's tracer wraps only the modules loaded when it is installed; and
+    # the import sets no environment variable (a BLAS thread count, say) and
+    # no collector setting, which would change them for every library caller.
+    # The child gets a bare environment: this process imported fuchsian
+    # already, and a variable set by that import would be inherited
+    env = {"PYTHONPATH": str(ROOT / "src")}
+    code = ("import gc, json, os, sys\n"
+            "def state():\n"
+            "    return [dict(os.environ), gc.isenabled(), gc.get_threshold(),"
+            " gc.get_freeze_count()]\n"
+            "before = state()\n"
+            "import fuchsian\n"
+            "print(json.dumps([before, state()]))\n"
             "print(*sorted(m for m in sys.modules if m.startswith('fuchsian.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.split() == [f"fuchsian.{m}" for m in (
+    states, modules = out.splitlines()
+    before, after = json.loads(states)
+    assert after == before
+    assert modules.split() == [f"fuchsian.{m}" for m in (
         "curves", "embed", "fode", "hyperbolic", "moebius", "report", "uniformize")]
 
 
@@ -223,7 +236,7 @@ def _exception_classes(tree):
 
 # the only exception classes a module may define: NotHyperbolic, which
 # report tells apart to print a null area for a spherical {p,q}, and those of
-# moebius and uniformize, which wait for ROADMAP item 4 to unpin the two modules
+# moebius and uniformize, which wait for ROADMAP item 1 to unpin the two modules
 ALLOWED_EXCEPTIONS = {
     "hyperbolic": {"NotHyperbolic"},
     "moebius": {"DegenerateMap", "AllPointsFixed", "IndexOutOfRange"},
