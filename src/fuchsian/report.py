@@ -186,30 +186,15 @@ def uniformization_report(curve: CurveSpec, result: UniformizationResult, *,
 def verification_checks(result: UniformizationResult) -> list:
     """One (name, ok, detail) record per line `verify` prints, in that order.
 
-    Every residual is held to CHECK_TOL; the topology genus must equal the
-    curve's, and every non-identity generator must be hyperbolic.
+    Each record reads the matrices: the side-involution residual and every
+    relation residual are held to CHECK_TOL, and every generator that is not
+    a projective identity must be hyperbolic.
     """
-    p = result.params
-    paper_curve(p.degree)  # refused above 8, where no relation is checked
+    paper_curve(result.params.degree)  # refused above 8, where no relation is checked
     rep = result.verification
-    rho = fixed_point_radius(p)
-    spread = max(abs(abs(z) - rho) for z in result.fixed_points)
-    spacing = 2.0 * math.pi * float(p.alpha)
-    gap_err = max(abs((t1 - t0) - spacing) for t0, t1 in zip(p.thetas, p.thetas[1:]))
-    topo = tessellation_topology(result.tessellation)
-    expected_area = 4.0 * math.pi * (p.genus - 1)
     return [
         ("side involutions", rep.side_involution_residual < CHECK_TOL,
          f"residual {rep.side_involution_residual:.3e}"),
-        ("fixed-point radius", spread < CHECK_TOL,
-         f"rho {rho:.7f}, spread {spread:.3e}"),
-        ("fixed-point spacing", gap_err < CHECK_TOL,
-         f"2 pi alpha = {spacing:.7f}, error {gap_err:.3e}"),
-        ("topology genus", topo.genus == p.genus,
-         f"V={topo.V} E={topo.E} F={topo.F} chi={topo.chi} "
-         f"genus {topo.genus} vs curve {p.genus}"),
-        ("area identity", abs(result.area - expected_area) < CHECK_TOL,
-         f"area {result.area:.7f} vs 4 pi (g-1) = {expected_area:.7f}"),
         ("generators hyperbolic",
          all(c is TransformClass.HYPERBOLIC
              for r, c in zip(result.generator_labels, rep.classes)

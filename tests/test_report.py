@@ -10,7 +10,7 @@ import pytest
 
 from fuchsian import cli
 from fuchsian.curves import curve_from_degree
-from fuchsian.hyperbolic import Tessellation, tessellation_topology
+from fuchsian.hyperbolic import Tessellation, half_turn, tessellation_topology
 from fuchsian.report import (
     CHECK_TOL,
     canonical_json,
@@ -18,7 +18,7 @@ from fuchsian.report import (
     uniformization_report,
     verification_checks,
 )
-from fuchsian.uniformize import uniformize
+from fuchsian.uniformize import uniformize, verify_generators
 
 from helpers import oracle_json
 
@@ -84,13 +84,16 @@ def test_verification_checks_records():
     res = uniformize(curve_from_degree(5))
     checks = verification_checks(res)
     assert [name for name, _, _ in checks] == [
-        "side involutions", "fixed-point radius", "fixed-point spacing",
-        "topology genus", "area identity", "generators hyperbolic",
-        "relation gamma8"]
+        "side involutions", "generators hyperbolic", "relation gamma8"]
     assert all(ok is True for _, ok, _ in checks)
-    assert checks[3][2] == "V=1 E=4 F=1 chi=-2 genus 2 vs curve 2"
-    assert checks[5][2] == "Hyperbolic, Hyperbolic, Hyperbolic, Hyperbolic"
+    assert checks[1][2] == "Hyperbolic, Hyperbolic, Hyperbolic, Hyperbolic"
     assert CHECK_TOL == 1e-9
+
+
+def _verified(res, **matrices):
+    """res with the given matrix fields replaced and its verification redone."""
+    moved = dataclasses.replace(res, **matrices)
+    return dataclasses.replace(moved, verification=verify_generators(moved))
 
 
 def test_verification_checks_hold_every_residual_to_check_tol():
@@ -101,6 +104,25 @@ def test_verification_checks_hold_every_residual_to_check_tol():
         ok = {name: ok for name, ok, _ in verification_checks(
             dataclasses.replace(res, verification=moved))}
         assert ok["side involutions"] is ok["relation gamma12"] is passes
+
+    # every record reads a matrix: each one that passes fails once a side or
+    # a generator moves
+    for n in (5, 6, 7, 8):
+        res = uniformize(curve_from_degree(n))
+        sides = list(res.side_transforms)
+        sides[0] = dataclasses.replace(sides[0], d=sides[0].d + 1e-6)
+        gens = list(res.generators_normalized)
+        i = next(i for i, r in enumerate(res.generator_labels)
+                 if r not in res.verification.identity_indices)
+        gens[i] = half_turn(0.3)
+        perturbed = [verification_checks(_verified(res, side_transforms=tuple(sides))),
+                     verification_checks(_verified(res, generators_normalized=tuple(gens)))]
+        for k, (name, ok, _) in enumerate(verification_checks(res)):
+            assert name in ("side involutions", "generators hyperbolic") or (
+                name.startswith("relation ")), name
+            assert [checks[k][0] for checks in perturbed] == [name, name]
+            if ok:
+                assert not all(checks[k][1] for checks in perturbed), (n, name)
 
 
 def test_report_normalized_convention():
