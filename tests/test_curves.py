@@ -15,7 +15,7 @@ from fuchsian.curves import (
     tessellation_for_curve,
 )
 from fuchsian.fode import curve_ode, named_equation, whittaker_equation
-from fuchsian.report import canonical_json, uniformization_report, verification_checks
+from fuchsian.report import verification_checks
 from fuchsian.uniformize import uniformize
 
 # integer-root expansions, coefficients lowest first
@@ -56,14 +56,6 @@ PAPER_ONLY = {
 def test_consumers_refuse_degrees_above_8(consumer, n):
     with pytest.raises(ValueError, match=rf"^degree {n} not in 5\.\.8$"):
         PAPER_ONLY[consumer](n)
-
-
-def test_numpy_integer_degree_gives_python_ints_that_serialize():
-    c = curve_from_degree(np.int64(6), np.int32(1))
-    assert c == curve_from_degree(6, 1)
-    assert type(c.degree) is int and type(c.sign) is int
-    text = canonical_json(uniformization_report(c, uniformize(c)))
-    assert '"degree": 6,' in text and '"sign": 1' in text
 
 
 def test_singularities_are_roots():

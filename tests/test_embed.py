@@ -36,12 +36,6 @@ def test_bad_dimensions():
         genus_range(2, 0)
 
 
-def test_numpy_integer_sizes_give_python_ints():
-    r = genus_range(np.int64(2), np.int32(8))
-    assert r == GenusRange(0, 3)
-    assert type(r.g_min) is int and type(r.g_max) is int
-
-
 def _cyclic_orders(neighbours):
     """Every cyclic order of the neighbours, as a successor map."""
     first, *rest = neighbours

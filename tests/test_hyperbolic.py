@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fuchsian.curves import curve_from_degree
-from fuchsian.embed import genus_range
+from fuchsian.embed import GenusRange, genus_range
 from fuchsian.hyperbolic import (
     NotHyperbolic,
     Tessellation,
@@ -16,7 +16,8 @@ from fuchsian.hyperbolic import (
     tessellation_topology,
 )
 from fuchsian.moebius import apply, compose, is_projectively_identity, normalize
-from fuchsian.report import canonical_json, tessellation_report
+from fuchsian.report import canonical_json, tessellation_report, uniformization_report
+from fuchsian.uniformize import uniformize
 
 
 def test_point_validation():
@@ -126,10 +127,28 @@ def test_entry_points_refuse_non_integers(entry, args, name):
         entry(*args)
 
 
-def test_tessellation_stores_python_ints():
-    t = Tessellation(np.int64(8), np.int32(8))
-    assert (t.p, t.q) == (8, 8) and type(t.p) is int and type(t.q) is int
-    text = canonical_json(tessellation_report(t))
+# (entry point, numpy integer arguments, the equal result of Python ints, the
+# fields that must hold a Python int)
+NUMPY_INTEGERS = [
+    (curve_from_degree, (np.int64(6), np.int32(1)), curve_from_degree(6, 1), ("degree", "sign")),
+    (Tessellation, (np.int64(8), np.int32(8)), Tessellation(8, 8), ("p", "q")),
+    (genus_range, (np.int64(2), np.int32(8)), GenusRange(0, 3), ("g_min", "g_max")),
+]
+
+
+@pytest.mark.parametrize("entry, args, expect, fields", NUMPY_INTEGERS,
+                         ids=[entry.__name__ for entry, *_ in NUMPY_INTEGERS])
+def test_entry_points_store_numpy_integers_as_python_ints(entry, args, expect, fields):
+    result = entry(*args)
+    assert result == expect
+    assert [type(getattr(result, field)) for field in fields] == [int] * len(fields)
+
+
+def test_numpy_integer_inputs_serialize():
+    c = curve_from_degree(np.int64(6), np.int32(1))
+    text = canonical_json(uniformization_report(c, uniformize(c)))
+    assert '"degree": 6,' in text and '"sign": 1' in text
+    text = canonical_json(tessellation_report(Tessellation(np.int64(8), np.int32(8))))
     assert '"p": 8,' in text and '"genus": 2' in text
 
 

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 from fractions import Fraction
 
@@ -214,3 +215,47 @@ def test_area_and_tessellation(result):
     assert abs(result.area - 4 * math.pi * (p.genus - 1)) < 1e-9
     expected = {5: (8, 8), 6: (10, 5), 7: (12, 12), 8: (14, 7)}[p.degree]
     assert (result.tessellation.p, result.tessellation.q) == expected
+
+
+def _mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _short_words(gens, length):
+    """{word: matrix} for every word of length 1..length in the det-1
+    4-tuples gens and their inverses with no letter next to its inverse;
+    a letter (i, s) is gens[i] to the power s = +-1."""
+    letters = {}
+    for i, (a, b, c, d) in enumerate(gens):
+        letters[i, 1], letters[i, -1] = (a, b, c, d), (d, -b, -c, a)
+    words = {(letter,): m for letter, m in letters.items()}
+    frontier = dict(words)
+    for _ in range(length - 1):
+        frontier = {word + (letter,): _mul(m, letters[letter])
+                    for word, m in frontier.items() for letter in letters
+                    if letter != (word[-1][0], -word[-1][1])}
+        words.update(frontier)
+    return words
+
+
+# {order: number of words} of the elliptic words of length <= 3 in the
+# printed T_i = M_1 M_{i+1}; a surface group has none, and `verify` does
+# not test for them
+TORSION = {5: {}, 6: {}, 7: {7: 96}, 8: {2: 96}}
+
+
+def test_torsion_of_the_printed_generators(result):
+    n = result.params.degree
+    words = _short_words([(m.a, m.b, m.c, m.d) for m in result.generators_normalized], 3)
+    orders = collections.Counter()
+    for a, _, _, d in words.values():
+        if abs(a + d) < 2 - 1e-9:
+            order = math.pi / math.acos(abs(a + d) / 2)
+            assert abs(order - round(order)) < 1e-9
+            orders[round(order)] += 1
+    assert orders == TORSION[n]
+    if n == 7:  # T1 T3 T2^-1, the witness the README names
+        a, _, _, d = words[(0, 1), (2, 1), (1, -1)]
+        assert abs(abs(a + d) - 2 * math.cos(math.pi / 7)) < 1e-12
