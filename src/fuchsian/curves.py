@@ -34,8 +34,8 @@ class CurveSpec:
         """Roots of z^n = -sign: the curve's branch points, all unit modulus."""
         n = self.degree
         if self.sign == -1:
-            return tuple(cmath.exp(2j * math.pi * k / n) for k in range(n))
-        return tuple(cmath.exp(1j * math.pi * (2 * k + 1) / n) for k in range(n))
+            return (*(cmath.exp(2j * math.pi * k / n) for k in range(n)),)
+        return (*(cmath.exp(1j * math.pi * (2 * k + 1) / n) for k in range(n)),)
 
 
 def curve_from_degree(n: int, sign: int = -1) -> CurveSpec:
@@ -80,11 +80,14 @@ class Poly:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(map(complex, self.coeffs)) or (0j,)
-        # strip trailing (high-order) zeros but keep at least one entry
-        while len(cs) > 1 and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        # built at its exact length, and trailing (high-order) zeros cut off
+        # in one slice that keeps one entry, not one tuple per zero (README,
+        # Memory)
+        cs = (*map(complex, self.coeffs),) or (0j,)
+        end = len(cs)
+        while end > 1 and cs[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", cs[:end])
 
     @property
     def degree(self) -> int:
@@ -146,4 +149,4 @@ def expand_poly(roots) -> Poly:
         for k in range(len(out) - 2, 0, -1):
             out[k] = out[k - 1] + out[k] * nr
         out[0] *= nr
-    return Poly(tuple(out))
+    return Poly(out)

@@ -91,7 +91,7 @@ def _build_rational(num: Poly, den_lead: complex, den_roots) -> RationalFn:
     _refuse_overflow(num)
     if num.is_zero:
         return ZERO_RATIONAL
-    return RationalFn(num, complex(den_lead), tuple(map(complex, den_roots)))
+    return RationalFn(num, complex(den_lead), (*map(complex, den_roots),))
 
 
 def _with_exact_top(low: tuple, top: tuple, den_lead: float, poles) -> RationalFn:

@@ -1,12 +1,14 @@
 """Shared test utilities: reference-table loading, numeric parsing, the
-reference JSON encoder and a reference classification of singular points."""
+reference JSON encoder, a reference classification of singular points and
+seeded Whittaker polynomials."""
 
+import cmath
 import json
 import math
 import pathlib
 from fractions import Fraction
 
-from fuchsian.curves import Poly, _product
+from fuchsian.curves import Poly, _product, expand_poly
 from fuchsian.fode import PointClass, PointKind
 from fuchsian.moebius import INFINITY
 
@@ -84,6 +86,21 @@ def reference_whittaker_numerator(f):
     want = [x + -1.0 * (q * y) for x, y in zip(_product(df, df), _product(ddf, f.coeffs))]
     size = 2 * n - 1 if n % 2 else 2 * n - 3
     return Poly([3 / 16 * c for c in want[:size]])
+
+
+def unit_scale(rng):
+    return cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi))
+
+
+def separated_f(rng, n):
+    """n roots at least 0.5 apart in the disk of radius 2, then a leading
+    coefficient of modulus 0.5..2, drawn from rng."""
+    roots = []
+    while len(roots) < n:
+        z = cmath.rect(2.0 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi))
+        if all(abs(z - r) >= 0.5 for r in roots):
+            roots.append(z)
+    return expand_poly(roots).scaled(unit_scale(rng))
 
 
 # --- reference classification -------------------------------------------------

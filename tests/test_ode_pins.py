@@ -34,6 +34,8 @@ from fuchsian.fode import (
 )
 from fuchsian.report import canonical_json, ode_report
 
+from helpers import separated_f, unit_scale
+
 # `ode` argv of the benchmark's CLI menu; both precisions print the same bytes
 CLI_PINS = {
     "ode build --degree 5":
@@ -94,27 +96,12 @@ def pinned_f(key):
     return separated_f(random.Random(key), int(key.split("-")[1]))
 
 
-def _unit_scale(rng):
-    return cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi))
-
-
-def separated_f(rng, n):
-    """n roots at least 0.5 apart in the disk of radius 2, then a leading
-    coefficient of modulus 0.5..2, drawn from rng."""
-    roots = []
-    while len(roots) < n:
-        z = cmath.rect(2.0 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi))
-        if all(abs(z - r) >= 0.5 for r in roots):
-            roots.append(z)
-    return expand_poly(roots).scaled(_unit_scale(rng))
-
-
 def batch_equations(rng):
     """One cycle of the benchmark's ODE mix, parameters drawn from rng: each
     curve equation with k1 = k2 = 0 and with drawn k1, k2; every catalog
     equation; the Whittaker equation of each integer-root curve polynomial
     and of a separated-root f of each degree 5..10."""
-    c = lambda: _unit_scale(rng)  # noqa: E731
+    c = lambda: unit_scale(rng)  # noqa: E731
     for n in range(5, 9):
         yield curve_ode(curve_from_degree(n))
         yield curve_ode(curve_from_degree(n), c(), c())
