@@ -392,16 +392,19 @@ def test_whittaker_builds_leave_the_tuple_free_lists_as_they_were():
     # 100 blocks remain on 3.11: it frees 20-tuples, the poles of deg f = 10,
     # onto a list it never takes from
     fs = [separated_f(random.Random(k), 5 + k % 6) for k in range(30)]
+
+    def build(rounds):
+        for _ in range(rounds):
+            for f in fs:
+                singular_points(whittaker_equation(f))
+
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        for f in fs:  # refill the free lists the collection emptied
-            singular_points(whittaker_equation(f))
+        build(3)  # refill the lists the collection emptied
         before = sys.getallocatedblocks()
-        for _ in range(20):
-            for f in fs:
-                singular_points(whittaker_equation(f))
+        build(20)
         grew = sys.getallocatedblocks() - before
     finally:
         if enabled:

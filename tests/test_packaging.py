@@ -261,9 +261,9 @@ def _tuples_without_length_hint(tree):
                 and node.args):
             continue
         arg = node.args[0]
-        # the names in the called expression, so chain.from_iterable counts too
-        names = {getattr(n, "id", getattr(n, "attr", "")) for n in ast.walk(arg.func)
-                 } if isinstance(arg, ast.Call) else set()
+        # every name in the called expression, so chain.from_iterable counts too
+        called = ast.walk(arg.func) if isinstance(arg, ast.Call) else ()
+        names = {getattr(n, "id", getattr(n, "attr", "")) for n in called}
         if isinstance(arg, ast.GeneratorExp) or names & {"map", "zip", "filter", "chain"}:
             lines.append(node.lineno)
     return lines
