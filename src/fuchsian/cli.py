@@ -157,7 +157,7 @@ def _cmd_uniformize(args) -> int:
         if given:
             raise ValueError(f"--format svg takes no {', '.join(given)}")
     sign = -1 if args.sign == "minus" else 1
-    curve = curves.paper_curve(args.degree, sign)
+    curve = curves.curve_from_degree(args.degree, sign)
     base = 1 if args.base is None else args.base
     precision = DEFAULT_PRECISION if args.precision is None else args.precision
     result = uniformize(curve, normalize_output=args.normalize, base=base)
@@ -248,7 +248,7 @@ def _cmd_tessellation(args) -> int:
 
 
 def _cmd_ode_build(args) -> int:
-    ode = fode.curve_ode(curves.paper_curve(args.degree), args.k1, args.k2)
+    ode = fode.curve_ode(curves.curve_from_degree(args.degree), args.k1, args.k2)
     poly = curves.expand_poly(curves.integer_roots(args.degree))
     doc = ode_report(ode, degree=args.degree, curve_polynomial=list(poly.coeffs),
                      k1=args.k1, k2=args.k2)
@@ -264,7 +264,7 @@ def _cmd_ode_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    result = uniformize(curves.paper_curve(args.degree))
+    result = uniformize(curves.curve_from_degree(args.degree))
     checks = verification_checks(result)
     for name, ok, detail in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")

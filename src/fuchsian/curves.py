@@ -1,4 +1,4 @@
-"""Hyperelliptic curve bookkeeping for y^2 = z^n +- 1, n >= 5.
+"""Hyperelliptic curve bookkeeping for y^2 = z^n +- 1, n in 5..8.
 
 Genus and parity from the degree, singularities as roots of unity, the
 integer-shifted root representation, the polynomial product, monic expansion.
@@ -16,10 +16,21 @@ from .hyperbolic import Tessellation, _integer
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """y^2 = z^degree + sign (sign -1 gives z^n - 1)."""
+    """y^2 = z^degree + sign (sign -1 gives z^n - 1), for the paper's degrees 5..8."""
 
     degree: int
     sign: int
+
+    def __post_init__(self):
+        n, sign = _integer(self.degree, "degree"), _integer(self.sign, "sign")
+        if n < 5:
+            raise ValueError(f"degree {n} < 5")
+        if sign not in (-1, 1):
+            raise ValueError("sign must be +1 or -1")
+        if n > 8:
+            raise ValueError(f"degree {n} not in 5..8")
+        object.__setattr__(self, "degree", n)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def genus(self) -> int:
@@ -39,20 +50,7 @@ class CurveSpec:
 
 
 def curve_from_degree(n: int, sign: int = -1) -> CurveSpec:
-    n, sign = _integer(n, "degree"), _integer(sign, "sign")
-    if n < 5:
-        raise ValueError(f"degree {n} < 5")
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
     return CurveSpec(n, sign)
-
-
-def paper_curve(n: int, sign: int = -1) -> CurveSpec:
-    """The curve of this degree, refused outside the paper's degrees 5..8."""
-    curve = curve_from_degree(n, sign)
-    if curve.degree > 8:
-        raise ValueError(f"degree {curve.degree} not in 5..8")
-    return curve
 
 
 def tessellation_for_curve(c: CurveSpec) -> Tessellation:
@@ -68,7 +66,7 @@ def integer_roots(n: int) -> list:
 
     Odd n: symmetric about 0.  Even n: one extra on the positive side.
     """
-    n = paper_curve(n).degree
+    n = curve_from_degree(n).degree
     lo = -((n - 1) // 2)
     return list(range(lo, lo + n))
 

@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 
-from .curves import CurveSpec, Poly, _product, expand_poly, paper_curve
+from .curves import CurveSpec, Poly, _product, expand_poly
 from .moebius import INFINITY
 
 # distinctness check on user polynomials, relative to the larger root of each
@@ -267,7 +267,7 @@ def curve_ode(c: CurveSpec, k1: complex = 0j, k2: complex = 0j) -> SecondOrderOD
     carry the expanded curve polynomial as an overall factor, which cancels;
     expand_poly(integer_roots(n)) reproduces it.)
     """
-    n = paper_curve(c.degree).degree
+    n = c.degree
     if c.sign != -1:  # the catalog has no equation for z^n + 1
         raise ValueError(f"sign {c.sign:+d}: the catalog covers y^2 = z^n - 1 only")
     s = -1.0 if n % 2 else 1.0

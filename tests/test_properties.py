@@ -3,6 +3,7 @@ genus bounds, polynomial expansion and roots, the Whittaker numerator, the
 catalog's exact pole decisions, singular-point classification."""
 
 import cmath
+import functools
 import json
 import math
 from decimal import Decimal
@@ -13,15 +14,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fuchsian.curves import Poly, _product, expand_poly
+from fuchsian.curves import CurveSpec, Poly, _product, expand_poly
 from fuchsian.embed import genus_range
 from fuchsian.fode import (
     ZERO_RATIONAL, PointKind, RationalFn, SecondOrderODE, _infinity_pole_orders,
-    is_fuchsian, named_equation, singular_points, whittaker_equation)
+    curve_ode, is_fuchsian, named_equation, singular_points, whittaker_equation)
 from fuchsian.hyperbolic import distance, half_turn
 from fuchsian.moebius import (
     INFINITY, MoebiusMap, apply, compose, is_infinity, is_projectively_identity)
-from fuchsian.report import canonical_json
+from fuchsian.report import canonical_json, verification_checks
+from fuchsian.uniformize import uniformize
 
 from helpers import (
     oracle_json, reference_infinity_pole, reference_pole_order, reference_singular_points,
@@ -139,6 +141,31 @@ def test_genus_range_is_symmetric_and_ordered(m, n):
     r = genus_range(m, n)
     assert r == genus_range(n, m)
     assert r.g_min <= r.g_max
+
+
+@functools.cache
+def _relation_records(n, sign):
+    """verify's relation records for one curve, computed once per (n, sign)."""
+    checks = verification_checks(uniformize(CurveSpec(n, sign)))
+    return [name for name, _, _ in checks if name.startswith("relation ")]
+
+
+@PROPERTY
+@given(st.integers(-20, 40), st.integers(-2, 2))
+def test_curve_spec_holds_exactly_the_papers_curves(n, sign):
+    try:
+        c = CurveSpec(n, sign)
+    except ValueError as exc:
+        assert str(exc) in (f"degree {n} < 5", "sign must be +1 or -1",
+                            f"degree {n} not in 5..8")
+        return
+    assert 5 <= n <= 8 and sign in (-1, 1)
+    assert _relation_records(n, sign)
+    if sign == -1:
+        assert isinstance(curve_ode(c), SecondOrderODE)
+    else:
+        with pytest.raises(ValueError, match="covers y\\^2 = z\\^n - 1 only"):
+            curve_ode(c)
 
 
 @PROPERTY
