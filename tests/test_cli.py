@@ -92,6 +92,7 @@ REFUSALS = [
     pytest.param(f"tessellation --pq {BIG},4",
                  f"{{{BIG},4}}: area overflows float arithmetic", id="area-overflow-pq"),
     pytest.param("tessellation --degree 9", "degree 9 not in 5..8", id="tessellation-9"),
+    # the curve refuses this degree before any {p,q} area is computed
     pytest.param(f"tessellation --degree {BIG}", f"degree {BIG} not in 5..8",
                  id="area-overflow-degree"),
     *(pytest.param(f"{command} --precision {precision}",
