@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from .moebius import MoebiusMap
 
 
-class NotHyperbolic(ValueError):
-    """(p-2)(q-2) < 4: the {p,q} pattern does not fit the hyperbolic plane."""
-
-
 def _disk_point(z) -> complex:
     """z as a complex number, refused unless it is finite and inside the unit disk."""
     z = complex(z)
@@ -88,14 +84,15 @@ class SurfaceTopology:
         return (2 - self.chi) // 2
 
 
-def regular_polygon_area(t: Tessellation) -> float:
+def regular_polygon_area(t: Tessellation) -> float | None:
     """Area of the fundamental p-gon with vertex angles 2 pi / q.
 
     Gauss-Bonnet by fan triangulation: (p-2) pi - p (2 pi / q).  Exactly 0
-    on the Euclidean boundary (p-2)(q-2) = 4; ValueError on float overflow.
+    on the Euclidean boundary (p-2)(q-2) = 4; None for a spherical {p,q},
+    (p-2)(q-2) < 4; ValueError on float overflow.
     """
     if (t.p - 2) * (t.q - 2) < 4:
-        raise NotHyperbolic(f"{{{t.p},{t.q}}} is spherical")
+        return None
     try:
         area = (t.p - 2) * math.pi - t.p * (2.0 * math.pi / t.q)
     except OverflowError:  # p or q past the float range

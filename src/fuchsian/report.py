@@ -20,12 +20,7 @@ from json.encoder import encode_basestring_ascii
 
 from .curves import CurveSpec
 from .fode import SecondOrderODE, is_fuchsian, singular_points
-from .hyperbolic import (
-    NotHyperbolic,
-    Tessellation,
-    regular_polygon_area,
-    tessellation_topology,
-)
+from .hyperbolic import Tessellation, regular_polygon_area, tessellation_topology
 from .moebius import TransformClass, is_infinity
 from .uniformize import UniformizationResult, fixed_point_radius
 
@@ -211,10 +206,7 @@ def tessellation_report(tess: Tessellation) -> dict:
         "tessellation": {"p": tess.p, "q": tess.q},
         "hyperbolic": tess.is_hyperbolic,
     }
-    try:
-        doc["area"] = regular_polygon_area(tess)
-    except NotHyperbolic:
-        doc["area"] = None
+    doc["area"] = regular_polygon_area(tess)
     try:
         doc["topology"] = _topology_entry(tessellation_topology(tess))
     except ValueError as exc:

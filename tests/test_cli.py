@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from unittest.mock import ANY
 
 import pytest
 
@@ -291,12 +292,14 @@ main()
 
 def test_main_prints_what_run_prints(capsys):
     # main freezes the import-time heap to speed up the interpreter's shutdown;
-    # the output and the exit code stay those of run(). Both cold processes run
-    # at once, so the test waits for about one interpreter start.
+    # the output and the exit code stay those of run(), a refusal's exit 2 and
+    # error line too. The three cold processes run at once, so the test waits
+    # for about one interpreter start.
     src = pathlib.Path(fuchsian.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     uniformize_8 = ["uniformize", "--degree", "8", "--precision", "17"]  # the largest document
     verify_6 = ["verify", "--degree", "6"]
+    uniformize_4 = ["uniformize", "--degree", "4"]
     read_fd, write_fd = os.pipe()
     with open(read_fd, "rb") as probe:
         try:
@@ -306,13 +309,17 @@ def test_main_prints_what_run_prints(capsys):
                 pass_fds=(write_fd,))
         finally:
             os.close(write_fd)
-        plain = subprocess.Popen([sys.executable, "-m", "fuchsian.cli", *verify_6],
-                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                                 env=env)
-        for proc, argv, code in ((probed, uniformize_8, 0), (plain, verify_6, 1)):
+        plain, refused = (subprocess.Popen([sys.executable, "-m", "fuchsian.cli", *argv],
+                                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                           text=True, env=env)
+                          for argv in (verify_6, uniformize_4))
+        for proc, argv, code in ((probed, uniformize_8, 0), (plain, verify_6, 1),
+                                 (refused, uniformize_4, 2)):
             out, err = proc.communicate(timeout=60)
             assert (proc.returncode, out, err) == invoke(capsys, *argv)
             assert proc.returncode == code
+        # the refusal, read last: nothing on stdout and one error line
+        assert (out, err) == ("", "error: degree 4 < 5\n")
         assert probe.read() == b"frozen"
 
 
@@ -580,55 +587,46 @@ def test_ode_classify_hypergeometric_prints_the_exact_1_plus_a_plus_b(capsys):
     assert doc["p1"] == {"numerator": [[0.181, 0.948]], "denominator": [[1.0, 0.0], [-1.0, 0.0]]}
 
 
-def test_verify_clean_degrees(capsys):
-    for degree in ("5", "7"):
-        rc, out, _ = invoke(capsys, "verify", "--degree", degree)
-        assert rc == 0
-        assert "FAIL" not in out
-        assert "warning" not in out
-        assert "ok   relation gamma" in out
+H = "Hyperbolic"
+# verify's contract, one row per degree: the exit code, every record's
+# (verdict, name, detail) in order, ANY for a detail that is rounding noise,
+# and the warning lines printed after the records. The degree-6 words reduce
+# to M_1...M_6, an elliptic involution, not 1; degree 8 passes with a
+# degenerate generator set
+VERIFY = {
+    5: (0, [("ok", "side involutions", ANY),
+            ("ok", "generators hyperbolic", ", ".join([H] * 4)),
+            ("ok", "relation gamma8", ANY)], []),
+    6: (1, [("ok", "side involutions", ANY),
+            ("ok", "generators hyperbolic", ", ".join([H] * 5)),
+            ("FAIL", "relation gamma10_a", "residual 6.541e+00"),
+            ("FAIL", "relation gamma10_b", "residual 6.541e+00")], []),
+    7: (0, [("ok", "side involutions", ANY),
+            ("ok", "generators hyperbolic", ", ".join([H] * 6)),
+            ("ok", "relation gamma12", ANY)], []),
+    8: (0, [("ok", "side involutions", ANY),
+            ("ok", "generators hyperbolic", ", ".join([H, H, H, "Identity", H, H, H])),
+            ("ok", "relation gamma14_a", ANY),
+            ("ok", "relation gamma14_b", ANY)],
+        ["warning: degenerate generator set",
+         "  projective identity: S1S5",
+         "  duplicate pair: S1S2 ~ S1S6",
+         "  duplicate pair: S1S3 ~ S1S7",
+         "  duplicate pair: S1S4 ~ S1S8"]),
+}
 
 
-def test_verify_degree6_fails_on_its_printed_relations(capsys):
-    # the degree-6 words reduce to M_1...M_6, an elliptic involution, not 1
-    rc, out, _ = invoke(capsys, "verify", "--degree", "6")
-    assert rc == 1
-    assert "FAIL relation gamma10_a: residual 6.54" in out
-    assert "FAIL relation gamma10_b: residual 6.54" in out
-    assert out.count("FAIL") == 2
-
-
-def test_verify_degree8_warns_but_passes(capsys):
-    rc, out, _ = invoke(capsys, "verify", "--degree", "8")
-    assert rc == 0
-    assert "warning: degenerate generator set" in out
-    assert "projective identity: S1S5" in out
-    assert out.count("duplicate pair") == 3
-    assert "FAIL" not in out
-
-
-@pytest.mark.parametrize("degree", [5, 6, 7, 8])
-def test_verify_renders_the_report_checks(capsys, degree):
-    rc, out, _ = invoke(capsys, "verify", "--degree", str(degree))
+@pytest.mark.parametrize("degree", VERIFY)
+def test_verify_contract(capsys, degree):
+    code, records, warnings = VERIFY[degree]
+    # a row with no relation record would let verify exit 0 with no relation behind it
+    assert any(name.startswith("relation ") for _, name, _ in records)
+    rc, out, err = invoke(capsys, "verify", "--degree", str(degree))
     checks = verification_checks(uniformize(curve_from_degree(degree)))
-    lines = out.splitlines()
-    assert lines[:len(checks)] == [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}"
-                                   for name, ok, detail in checks]
-    assert lines[len(checks):] == [] or lines[len(checks)] == (
-        "warning: degenerate generator set")
-    assert rc == (0 if all(ok for _, ok, _ in checks) else 1)
-
-
-def test_every_degree_verify_accepts_checks_a_relation(capsys):
-    # a degree with no presentation words would print only ok lines and exit
-    # 0 with no relation behind it; verify must refuse such a degree instead
-    accepted = []
-    for degree in range(4, 13):
-        rc, out, _ = invoke(capsys, "verify", "--degree", str(degree))
-        if rc != 2:
-            accepted.append(degree)
-            assert any(line[5:].startswith("relation ") for line in out.splitlines()), degree
-    assert accepted == [5, 6, 7, 8]
+    rendered = [f"{'ok  ' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in checks]
+    assert out == "".join(f"{line}\n" for line in rendered + warnings)
+    assert [("ok" if ok else "FAIL", name, detail) for name, ok, detail in checks] == records
+    assert (rc, err) == (code, "")
 
 
 def test_cli_raw_output_matches_golden_tables_where_consistent(capsys):

@@ -15,9 +15,7 @@ from fuchsian.curves import (
     integer_roots,
     tessellation_for_curve,
 )
-from fuchsian.fode import curve_ode, named_equation, whittaker_equation
-from fuchsian.report import verification_checks
-from fuchsian.uniformize import uniformize
+from fuchsian.fode import named_equation, whittaker_equation
 
 # integer-root expansions, coefficients lowest first
 EXPANSIONS = {
@@ -35,27 +33,22 @@ def test_curve_genus_and_parity():
         assert (c.degree, c.genus, c.parity, c.sign) == (n, g, par, -1)
 
 
-def test_degree_and_sign_validation():
-    with pytest.raises(ValueError, match="degree 4 < 5"):
-        curve_from_degree(4)
-    with pytest.raises(ValueError):
-        curve_from_degree(5, 2)
-
-
 # CurveSpec holds the paper's degrees 5..8 and refuses the rest in this
-# order: degree below 5, then the sign, then degree above 8; integer_roots
-# takes no sign, and its rows above 8 are with the consumers below
+# order: degree below 5, then the sign, then degree above 8. integer_roots
+# takes no sign and refuses the rows of sign -1. A consumer of a built curve
+# (curve_ode, verification_checks) is handed none outside the domain
+DOMAIN = [
+    (4, -1, "degree 4 < 5"),
+    (4, 2, "degree 4 < 5"),
+    (5, 2, "sign must be +1 or -1"),
+    (9, 2, "sign must be +1 or -1"),
+    *((n, -1, f"degree {n} not in 5..8") for n in (9, 10, 12)),
+]
 DOMAIN_REFUSALS = [
     *(pytest.param(constructor, n, sign, message, id=f"{constructor.__name__}({n},{sign})")
-      for constructor in (CurveSpec, curve_from_degree)
-      for n, sign, message in (
-          (4, -1, "degree 4 < 5"),
-          (4, 2, "degree 4 < 5"),
-          (5, 2, "sign must be +1 or -1"),
-          (9, 2, "sign must be +1 or -1"),
-          *((n, -1, f"degree {n} not in 5..8") for n in (9, 10, 12)))),
-    pytest.param(lambda n, sign: integer_roots(n), 4, -1, "degree 4 < 5",
-                 id="integer_roots(4)"),
+      for constructor in (CurveSpec, curve_from_degree) for n, sign, message in DOMAIN),
+    *(pytest.param(lambda n, sign: integer_roots(n), n, sign, message, id=f"integer_roots({n})")
+      for n, sign, message in DOMAIN if sign == -1),
 ]
 
 
@@ -63,21 +56,6 @@ DOMAIN_REFUSALS = [
 def test_constructors_refuse_outside_the_domain(constructor, n, sign, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         constructor(n, sign)
-
-
-# the consumers of a built curve are handed none above 8
-CONSUMERS = {
-    "curve_ode": lambda n: curve_ode(curve_from_degree(n)),
-    "integer_roots": integer_roots,
-    "verification_checks": lambda n: verification_checks(uniformize(curve_from_degree(n))),
-}
-
-
-@pytest.mark.parametrize("n", [9, 10, 12])
-@pytest.mark.parametrize("consumer", CONSUMERS)
-def test_consumers_refuse_degrees_above_8(consumer, n):
-    with pytest.raises(ValueError, match=rf"^degree {n} not in 5\.\.8$"):
-        CONSUMERS[consumer](n)
 
 
 def test_singularities_are_roots():

@@ -8,7 +8,6 @@ import pytest
 from fuchsian.curves import curve_from_degree
 from fuchsian.embed import GenusRange, genus_range
 from fuchsian.hyperbolic import (
-    NotHyperbolic,
     Tessellation,
     distance,
     half_turn,
@@ -163,8 +162,8 @@ def test_polygon_areas():
     # Euclidean boundary (p-2)(q-2) = 4: area degenerates to exactly zero
     assert regular_polygon_area(Tessellation(4, 4)) == 0.0
     assert regular_polygon_area(Tessellation(3, 6)) == 0.0
-    with pytest.raises(NotHyperbolic):
-        regular_polygon_area(Tessellation(3, 5))
+    # spherical (p-2)(q-2) < 4: no hyperbolic area
+    assert regular_polygon_area(Tessellation(3, 5)) is None
 
 
 @pytest.mark.parametrize("p, q", [

@@ -24,6 +24,8 @@ def test_pyproject_names_the_package_and_its_version():
     project = tomllib.loads(PYPROJECT.read_text())["project"]
     assert project["name"] == "fuchsian"
     assert project["version"] == fuchsian.__version__
+    # the console script CI installs and runs
+    assert project["scripts"] == {"fuchsian": "fuchsian.cli:main"}
 
 
 def test_every_public_name_resolves():
@@ -158,6 +160,8 @@ DELETED = [
     ("curves", "Parity"),
     # CurveSpec itself holds the paper's degrees 5..8
     ("curves", "paper_curve"),
+    # regular_polygon_area returns None for a spherical {p,q}
+    ("hyperbolic", "NotHyperbolic"),
 ]
 
 
@@ -236,11 +240,9 @@ def _exception_classes(tree):
     return found
 
 
-# the only exception classes a module may define: NotHyperbolic, which
-# report tells apart to print a null area for a spherical {p,q}, and those of
-# moebius and uniformize, which wait for ROADMAP item 1 to unpin the two modules
+# the only exception classes a module may define: those of moebius and
+# uniformize, which wait for ROADMAP item 1 to unpin the two modules
 ALLOWED_EXCEPTIONS = {
-    "hyperbolic": {"NotHyperbolic"},
     "moebius": {"DegenerateMap", "AllPointsFixed", "IndexOutOfRange"},
     "uniformize": {"GenusTooSmall"},
 }

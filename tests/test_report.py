@@ -80,16 +80,6 @@ def test_uniformization_report_contents():
     assert "gamma8" in doc["verification"]["relation_residuals"]
 
 
-def test_verification_checks_records():
-    res = uniformize(curve_from_degree(5))
-    checks = verification_checks(res)
-    assert [name for name, _, _ in checks] == [
-        "side involutions", "generators hyperbolic", "relation gamma8"]
-    assert all(ok is True for _, ok, _ in checks)
-    assert checks[1][2] == "Hyperbolic, Hyperbolic, Hyperbolic, Hyperbolic"
-    assert CHECK_TOL == 1e-9
-
-
 def _verified(res, **matrices):
     """res with the given matrix fields replaced and its verification redone."""
     moved = dataclasses.replace(res, **matrices)
@@ -97,6 +87,7 @@ def _verified(res, **matrices):
 
 
 def test_verification_checks_hold_every_residual_to_check_tol():
+    assert CHECK_TOL == 1e-9
     res = uniformize(curve_from_degree(7))
     for residual, passes in ((CHECK_TOL / 2, True), (CHECK_TOL, False)):
         moved = dataclasses.replace(res.verification, side_involution_residual=residual,
