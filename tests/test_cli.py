@@ -294,9 +294,10 @@ def test_main_prints_what_run_prints(capsys):
     # main freezes the import-time heap to speed up the interpreter's shutdown;
     # the output and the exit code stay those of run(), a refusal's exit 2 and
     # error line too. The three cold processes run at once, so the test waits
-    # for about one interpreter start.
+    # for about one interpreter start; without numpy's idle OpenBLAS worker
+    # (README, cold-call timings) three cost a 2-vCPU host what two did with it.
     src = pathlib.Path(fuchsian.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     uniformize_8 = ["uniformize", "--degree", "8", "--precision", "17"]  # the largest document
     verify_6 = ["verify", "--degree", "6"]
     uniformize_4 = ["uniformize", "--degree", "4"]
